@@ -5,6 +5,8 @@ a circular (periodic) convolution with a normalized blur kernel, and eta is
 zero-mean Gaussian noise. Convolutions run in the frequency domain through
 the kernel's transfer function, which is the FFT of the kernel zero-padded
 to the grid and circularly shifted so its center tap sits at index (0, 0).
+Fields are real, so the transforms are the real-input ``rfft2``/``irfft2``
+pair against the transfer function's half-spectrum.
 """
 
 from __future__ import annotations
@@ -155,13 +157,21 @@ class LinearOperatorA:
             raise ValueError(f"field shape {g.shape} does not match operator grid {self.shape}")
 
 
+def _convolve(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Periodic convolution of a real field with the operator whose full
+    transfer function is ``symbol``. Real data has a Hermitian spectrum, so
+    only the half-spectrum (the first n//2 + 1 columns) is transformed."""
+    half = symbol[:, : g.shape[1] // 2 + 1]
+    return np.fft.irfft2(half * np.fft.rfft2(g), s=g.shape)
+
+
 def apply(A: LinearOperatorA, g: np.ndarray) -> np.ndarray:
     """Apply the degradation operator: A(g)."""
     g = np.asarray(g, dtype=float)
     A._check_shape(g)
     if A.kind == "identity":
         return g.copy()
-    return np.real(np.fft.ifft2(A.transfer * np.fft.fft2(g)))
+    return _convolve(g, A.transfer)
 
 
 def apply_adjoint(A: LinearOperatorA, u: np.ndarray) -> np.ndarray:
@@ -170,7 +180,7 @@ def apply_adjoint(A: LinearOperatorA, u: np.ndarray) -> np.ndarray:
     A._check_shape(u)
     if A.kind == "identity":
         return u.copy()
-    return np.real(np.fft.ifft2(np.conj(A.transfer) * np.fft.fft2(u)))
+    return _convolve(u, np.conj(A.transfer))
 
 
 def add_gaussian_noise(g: np.ndarray, variance: float, seed: int) -> np.ndarray:

@@ -11,9 +11,17 @@ frequency domain, shrinks q and v in closed form, projects z onto the box,
 then accumulates the residuals into the duals. Unconstrained mode drops
 z, d and the mu3 coupling entirely.
 
+The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
+``update_duals``) are the whole iteration: ``run`` calls them in order,
+passing in the gradients of g it computed once per iteration. Each update
+overwrites its own variable of the state in place, since the old value is
+dead by the time it runs, and returns it.
+
 The frequency-domain denominator is built from delta responses of the very
 same grid stencils used in the spatial domain, so the solve is exact to
-rounding, not merely to an analytic symbol's transcription.
+rounding, not merely to an analytic symbol's transcription. Fields are
+real, so the solve uses the ``rfft2``/``irfft2`` pair and the symbol's
+half-spectrum.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ class SolverParams:
     epsilon: float = 1e-6
     max_iter: int = 1000
     constrained: bool = True
-    inner_loops: int = 1
 
     def __post_init__(self):
         if self.lam < 0 or self.gamma < 0:
@@ -55,8 +62,6 @@ class SolverParams:
             raise ValueError("epsilon must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.inner_loops < 1:
-            raise ValueError("inner_loops must be >= 1")
 
 
 @dataclass
@@ -70,22 +75,18 @@ class SolverState:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray | None
-    iteration: int = 0
 
 
 @dataclass
 class ConvergenceReport:
-    """Per-iteration diagnostics. The primal residuals equal the dual
-    increments exactly (the duals ascend by the residuals), so res_q == inc_b
-    and so on; both are recorded for the reader's convenience. Unconstrained
-    runs report NaN for the z/d columns."""
+    """Per-iteration diagnostics: the primal residual norms |grad2 g - q|,
+    |grad g - v| and |g - z| (the duals ascend by these residuals, so they
+    are also the sizes of the dual steps), the objective of g, and why the
+    loop stopped. Unconstrained runs report NaN for res_z."""
 
     res_q: np.ndarray = field(default_factory=lambda: np.empty(0))
     res_v: np.ndarray = field(default_factory=lambda: np.empty(0))
     res_z: np.ndarray = field(default_factory=lambda: np.empty(0))
-    inc_b: np.ndarray = field(default_factory=lambda: np.empty(0))
-    inc_c: np.ndarray = field(default_factory=lambda: np.empty(0))
-    inc_d: np.ndarray = field(default_factory=lambda: np.empty(0))
     objective: np.ndarray = field(default_factory=lambda: np.empty(0))
     termination: str = ""
 
@@ -113,21 +114,25 @@ def init_state(f: np.ndarray, params: SolverParams) -> SolverState:
 
 
 def _operator_symbol(op, shape) -> np.ndarray:
-    """Frequency-domain symbol of a periodic stencil via its delta response."""
+    """Half-spectrum symbol of a periodic stencil via its delta response."""
     delta = np.zeros(shape)
     delta[0, 0] = 1.0
-    return np.real(np.fft.fft2(op(delta)))
+    return np.real(np.fft.rfft2(op(delta)))
 
 
 def g_denominator(A: LinearOperatorA, params: SolverParams) -> np.ndarray:
     """Composite symbol D = |Ahat|^2 + mu1*F(div2 grad2) - mu2*F(div grad)
-    (+ mu3 in constrained mode). Real and bounded below by mu3 (by 0 off the
-    zero frequency in unconstrained mode): div2 grad2 is positive
-    semidefinite and div grad negative semidefinite."""
+    (+ mu3 in constrained mode) on the half-spectrum that ``np.fft.rfft2``
+    returns, shape (m, n//2 + 1). Every term is the symbol of a self-adjoint
+    operator, so D is real and symmetric and the half determines the rest.
+    Bounded below by mu3 (by 0 off the zero frequency in unconstrained
+    mode): div2 grad2 is positive semidefinite and div grad negative
+    semidefinite."""
     shape = A.shape
     L1 = _operator_symbol(lambda u: grid.div2(grid.grad2(u)), shape)
     L2 = _operator_symbol(lambda u: grid.div(grid.grad(u)), shape)
-    D = np.abs(A.transfer) ** 2 + params.mu1 * L1 - params.mu2 * L2
+    transfer = A.transfer[:, : shape[1] // 2 + 1]
+    D = np.abs(transfer) ** 2 + params.mu1 * L1 - params.mu2 * L2
     if params.constrained:
         D = D + params.mu3
         assert np.all(D >= params.mu3 - 1e-12)
@@ -137,74 +142,114 @@ def g_denominator(A: LinearOperatorA, params: SolverParams) -> np.ndarray:
 
 
 def solve_g(state: SolverState, params: SolverParams, A: LinearOperatorA,
-            f: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
+            f: np.ndarray, denom: np.ndarray | None = None,
+            adjoint_f: np.ndarray | None = None) -> np.ndarray:
     """Exact frequency-domain solve of the quadratic g-subproblem
 
         [A*A + mu1*div2 grad2 - mu2*div grad (+ mu3)] g
             = A*f + mu1*div2(q - b) + mu2*div(c - v) (+ mu3*(z - d)).
+
+    ``denom`` is :func:`g_denominator` and ``adjoint_f`` is A* f. Both are
+    the same in every iteration; they are computed here only when not given.
     """
     if denom is None:
         denom = g_denominator(A, params)
-    rhs = apply_adjoint(A, f)
-    rhs += params.mu1 * grid.div2(state.q - state.b)
+    if adjoint_f is None:
+        adjoint_f = apply_adjoint(A, f)
+    rhs = adjoint_f + params.mu1 * grid.div2(state.q - state.b)
     rhs += params.mu2 * grid.div(state.c - state.v)
     if params.constrained:
         rhs += params.mu3 * (state.z - state.d)
-    return np.real(np.fft.ifft2(np.fft.fft2(rhs) / denom))
+    return np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=rhs.shape)
 
 
 def _shrink(h: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Isotropic vector soft-thresholding with a per-pixel threshold:
-    out = max(|h| - t, 0) * h/|h|, with |h| < SHRINK_ZERO_TOL mapped to 0."""
+    h <- max(|h| - t, 0) * h/|h|, with |h| < SHRINK_ZERO_TOL mapped to 0.
+    Overwrites h and returns it."""
     mag = grid.pixel_magnitude(h)
-    safe = np.where(mag < SHRINK_ZERO_TOL, 1.0, mag)
-    scale = np.maximum(mag - threshold, 0.0) / safe
-    scale[mag < SHRINK_ZERO_TOL] = 0.0
-    return scale[..., None] * h
+    live = mag >= SHRINK_ZERO_TOL
+    scale = np.maximum(mag - threshold, 0.0)
+    np.divide(scale, mag, out=scale, where=live)
+    scale[~live] = 0.0
+    h *= scale[..., None]
+    return h
 
 
-def update_q(state: SolverState, params: SolverParams, omega: np.ndarray) -> np.ndarray:
-    """Shrink b + grad2 g with per-pixel threshold lam*(1 - w)/mu1."""
-    h = state.b + grid.grad2(state.g)
+def update_q(state: SolverState, params: SolverParams, omega: np.ndarray,
+             grad2_g: np.ndarray | None = None) -> np.ndarray:
+    """Shrink b + grad2 g with per-pixel threshold lam*(1 - w)/mu1.
+
+    The result overwrites state.q (the old q is dead once g is solved) and
+    is returned. ``grad2_g`` is grad2 of state.g, computed here if not given.
+    """
+    if grad2_g is None:
+        grad2_g = grid.grad2(state.g)
+    h = np.add(state.b, grad2_g, out=state.q)
     return _shrink(h, params.lam * (1.0 - omega) / params.mu1)
 
 
-def update_v(state: SolverState, params: SolverParams, omega: np.ndarray) -> np.ndarray:
-    """Shrink c + grad g with per-pixel threshold gamma*w/mu2."""
-    h = state.c + grid.grad(state.g)
+def update_v(state: SolverState, params: SolverParams, omega: np.ndarray,
+             grad_g: np.ndarray | None = None) -> np.ndarray:
+    """Shrink c + grad g with per-pixel threshold gamma*w/mu2.
+
+    The result overwrites state.v and is returned. ``grad_g`` is grad of
+    state.g, computed here if not given.
+    """
+    if grad_g is None:
+        grad_g = grid.grad(state.g)
+    h = np.add(state.c, grad_g, out=state.v)
     return _shrink(h, params.gamma * omega / params.mu2)
 
 
 def update_z(state: SolverState, params: SolverParams) -> np.ndarray:
-    """Project d + g onto the box [0, iota]. With the constraint removed the
-    projection is the identity, so unconstrained runs never carry z at all;
-    called anyway, this returns d + g (d taken as zero when absent)."""
-    base = state.g if state.d is None else state.d + state.g
-    if not params.constrained:
-        return base.copy()
-    return np.clip(base, 0.0, params.iota)
+    """Project d + g onto the box [0, iota]. The result overwrites state.z
+    and is returned. Constrained mode only: without the box the projection
+    is the identity, so unconstrained states carry no z or d."""
+    z = np.add(state.d, state.g, out=state.z)
+    return np.clip(z, 0.0, params.iota, out=z)
 
 
-def update_duals(state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Dual ascent by the primal residuals: b += grad2 g - q, c += grad g - v,
-    d += g - z (unit step, no relaxation)."""
-    b = state.b + (grid.grad2(state.g) - state.q)
-    c = state.c + (grid.grad(state.g) - state.v)
-    d = None if state.d is None else state.d + (state.g - state.z)
-    return b, c, d
+def update_duals(state: SolverState, grad2_g: np.ndarray | None = None,
+                 grad_g: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Dual ascent by the primal residuals, in place: b += grad2 g - q,
+    c += grad g - v, d += g - z (unit step, no relaxation). Returns the
+    state's (b, c, d). ``grad2_g`` and ``grad_g`` are the gradients of
+    state.g, computed here if not given."""
+    if grad2_g is None:
+        grad2_g = grid.grad2(state.g)
+    if grad_g is None:
+        grad_g = grid.grad(state.g)
+    state.b += grad2_g - state.q
+    state.c += grad_g - state.v
+    if state.d is not None:
+        state.d += state.g - state.z
+    return state.b, state.c, state.d
 
 
 def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
-              params: SolverParams, omega: np.ndarray) -> float:
+              params: SolverParams, omega: np.ndarray,
+              grad2_u: np.ndarray | None = None,
+              grad_u: np.ndarray | None = None) -> float:
     """Model objective ||f - A u||^2 + lam*|(1-w) grad2 u|_1 + gamma*|w grad u|_1
-    (box indicator omitted; the caller knows which iterates are feasible)."""
+    (box indicator omitted; the caller knows which iterates are feasible).
+    ``grad2_u`` and ``grad_u`` are the gradients of u, computed here if not
+    given."""
     r = f - apply_A(A, u)
     data = float(np.sum(r * r))
-    p2 = grid.grad2(u)
-    p1 = grid.grad(u)
+    p2 = grid.grad2(u) if grad2_u is None else grad2_u
+    p1 = grid.grad(u) if grad_u is None else grad_u
     t2 = float(np.sum((1.0 - omega) * grid.pixel_magnitude(p2)))
     t1 = float(np.sum(omega * grid.pixel_magnitude(p1)))
     return data + params.lam * t2 + params.gamma * t1
+
+
+def _require_finite(name: str, a: np.ndarray) -> None:
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if bad:
+        raise ValueError(f"{name} has {bad} non-finite pixel"
+                         f"{'' if bad == 1 else 's'} (NaN or inf)")
 
 
 def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
@@ -215,8 +260,13 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
     the limit) and g in unconstrained mode. trace, if given, is a writable
-    text stream receiving one tab-separated line per iteration:
-    iteration, res_q, res_v, res_z, inc_b, inc_c, inc_d, objective.
+    text stream receiving one tab-separated line per iteration: iteration,
+    res_q, res_v, res_z, the same three residuals again (they are also the
+    dual increments), objective.
+
+    Each iteration computes grad2 g and grad g once and hands them to every
+    step that needs them; A* f and the g-solve's symbol are computed once
+    per run. Non-finite pixels in f or omega raise ValueError up front.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -226,36 +276,41 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         raise ValueError(f"weight shape {omega.shape} does not match image {f.shape}")
     if A.shape != f.shape:
         raise ValueError(f"operator grid {A.shape} does not match image {f.shape}")
+    _require_finite("observed image f", f)
+    _require_finite("edge weight omega", omega)
     if not A.invertible:
         warnings.warn("degradation operator has (near-)zero transfer coefficients; "
                       "the minimizer may not be unique", RuntimeWarning)
 
     state = init_state(f, params)
     denom = g_denominator(A, params)
+    adjoint_f = apply_adjoint(A, f)
 
     res_q, res_v, res_z = [], [], []
     energies = []
     termination = "max_iter"
 
     for k in range(1, params.max_iter + 1):
-        for _ in range(params.inner_loops):
-            state.g = solve_g(state, params, A, f, denom)
-            state.q = update_q(state, params, omega)
-            state.v = update_v(state, params, omega)
-            if params.constrained:
-                state.z = update_z(state, params)
-
-        rq = grid.norm_l2(grid.grad2(state.g) - state.q)
-        rv = grid.norm_l2(grid.grad(state.g) - state.v)
-        rz = grid.norm_l2(state.g - state.z) if params.constrained else np.nan
-        state.b, state.c, state.d = update_duals(state)
-        state.iteration = k
-
+        state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
+        grad2_g = grid.grad2(state.g)
+        grad_g = grid.grad(state.g)
+        update_q(state, params, omega, grad2_g)
+        update_v(state, params, omega, grad_g)
+        if params.constrained:
+            update_z(state, params)
 
-        energy = objective(state.g, f, A, params, omega)
+        rq = grid.norm_l2(grad2_g - state.q)
+        rv = grid.norm_l2(grad_g - state.v)
+        rz = grid.norm_l2(state.g - state.z) if params.constrained else np.nan
+        update_duals(state, grad2_g, grad_g)
+        energy = objective(state.g, f, A, params, omega, grad2_g, grad_g)
+        # Free the gradients before the next g-solve, so that its
+        # temporaries reuse their memory instead of adding to the peak.
+        del grad2_g, grad_g
+
         res_q.append(rq)
         res_v.append(rv)
         res_z.append(rz)
@@ -275,12 +330,8 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             termination = "tolerance"
             break
 
-    rq_arr = np.array(res_q)
-    rv_arr = np.array(res_v)
-    rz_arr = np.array(res_z)
     report = ConvergenceReport(
-        res_q=rq_arr, res_v=rv_arr, res_z=rz_arr,
-        inc_b=rq_arr.copy(), inc_c=rv_arr.copy(), inc_d=rz_arr.copy(),
+        res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
         objective=np.array(energies), termination=termination,
     )
     restored = state.z if params.constrained else state.g

@@ -204,6 +204,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert rc == 1
 
 
+def test_main_rejects_non_finite_input(tmp_path, capsys):
+    image = np.full((8, 8), 0.5)
+    image[3, 4] = np.nan
+    path = tmp_path / "f.rf64"
+    imageio.save_raw_float(image, path)
+    rc = cli.main(["--input", str(path), "--max-iter", "3",
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "f has 1 non-finite pixel" in capsys.readouterr().err
+
+
 def test_main_reports_same_run_twice_identically(tmp_path, capsys):
     argv = ["--phantom", "two,disk,24,24,0.2,0.8", "--noise-var", "0.02",
             "--seed", "5", "--max-iter", "30"]

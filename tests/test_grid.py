@@ -52,6 +52,26 @@ def test_grad2_2x2_hand_values():
     assert np.array_equal(q[..., grid.YY], [[2.0, -2.0], [2.0, -2.0]])
 
 
+@pytest.mark.parametrize("shape", [(5, 7), (6, 8), (1, 9), (8, 1)])
+def test_differences_match_roll_reference(shape):
+    """Slice arithmetic reproduces the np.roll formulation bit for bit, for
+    the differences and for grad/grad2 built from them."""
+    def fwd(u, axis):
+        return np.roll(u, -1, axis=axis) - u
+
+    def bwd(u, axis):
+        return u - np.roll(u, 1, axis=axis)
+
+    u = np.random.default_rng(shape[0] * 10 + shape[1]).normal(size=shape)
+    for axis in (0, 1):
+        assert np.array_equal(grid.diff_forward(u, axis), fwd(u, axis))
+        assert np.array_equal(grid.diff_backward(u, axis), bwd(u, axis))
+    assert np.array_equal(grid.grad(u), np.stack((fwd(u, 0), fwd(u, 1)), axis=-1))
+    expected = np.stack((bwd(fwd(u, 0), 0), bwd(fwd(u, 1), 0),
+                         fwd(bwd(u, 0), 1), fwd(bwd(u, 1), 1)), axis=-1)
+    assert np.array_equal(grid.grad2(u), expected)
+
+
 def test_grad2_matches_composed_differences():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from htvseg import grid, restore
-from htvseg.degrade import BlurKernel, LinearOperatorA, apply, apply_adjoint
+from htvseg.degrade import (BlurKernel, LinearOperatorA, apply, apply_adjoint,
+                            gaussian_kernel)
 from htvseg.restore import SolverParams, SolverState
 
 
@@ -242,8 +243,6 @@ def test_run_constrained_output_in_box():
     g, report = restore.run(f, A, params, np.full(f.shape, 0.5))
     assert g.min() >= 0.0 and g.max() <= 1.0
     assert report.iterations == len(report.res_q) == len(report.objective)
-    assert np.array_equal(report.inc_b, report.res_q)
-    assert np.array_equal(report.inc_c, report.res_v)
 
 
 def test_run_unconstrained_reports_nan_z_columns():
@@ -253,7 +252,6 @@ def test_run_unconstrained_reports_nan_z_columns():
     params = SolverParams(lam=0.05, gamma=0.4, max_iter=20, constrained=False)
     g, report = restore.run(f, A, params, np.full(f.shape, 0.5))
     assert np.all(np.isnan(report.res_z))
-    assert np.all(np.isnan(report.inc_d))
     assert np.isfinite(g).all()
 
 
@@ -309,6 +307,96 @@ def test_run_shape_checks():
         restore.run(f, A, params, np.ones((4, 5)))
     with pytest.raises(ValueError):
         restore.run(np.zeros((5, 4)), A, params, np.ones((5, 4)))
+
+
+@pytest.mark.parametrize("name,bad", [("f", np.nan), ("omega", np.inf)])
+def test_run_rejects_non_finite_input(name, bad):
+    f = np.full((6, 7), 0.5)
+    omega = np.ones(f.shape)
+    {"f": f, "omega": omega}[name][2, 3] = bad
+    params = SolverParams(lam=0.1, gamma=0.5, max_iter=3)
+    with pytest.raises(ValueError, match=rf"{name} has 1 non-finite pixel"):
+        restore.run(f, LinearOperatorA.identity(f.shape), params, omega)
+
+
+def reference_loop(f, A, params, omega):
+    """The iteration as public step functions called with their defaults,
+    so that each recomputes the gradients, A* f and the symbol it needs."""
+    state = restore.init_state(f, params)
+    res, energies = [], []
+    for _ in range(params.max_iter):
+        state.g = restore.solve_g(state, params, A, f)
+        state.q = restore.update_q(state, params, omega)
+        state.v = restore.update_v(state, params, omega)
+        if params.constrained:
+            state.z = restore.update_z(state, params)
+        res.append((grid.norm_l2(grid.grad2(state.g) - state.q),
+                    grid.norm_l2(grid.grad(state.g) - state.v),
+                    grid.norm_l2(state.g - state.z) if params.constrained else np.nan))
+        state.b, state.c, state.d = restore.update_duals(state)
+        energies.append(restore.objective(state.g, f, A, params, omega))
+    restored = state.z if params.constrained else state.g
+    return restored, np.array(res), np.array(energies)
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("shape", [(12, 16), (11, 13)])
+def test_run_matches_step_function_loop(blur, constrained, shape):
+    rng = np.random.default_rng(shape[1])
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    # epsilon far below reach, so both sides run all max_iter iterations
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=12,
+                          constrained=constrained)
+    g, report = restore.run(f, A, params, omega)
+    g_ref, res_ref, energy_ref = reference_loop(f, A, params, omega)
+    assert report.iterations == params.max_iter
+    assert np.max(np.abs(g - g_ref)) <= 1e-12
+    got = np.stack((report.res_q, report.res_v, report.res_z), axis=-1)
+    assert np.allclose(got, res_ref, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.max(np.abs(report.objective - energy_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("blur,transforms", [("none", 2), ("gaussian,5,5", 4)])
+def test_run_computes_each_stencil_once_per_iteration(monkeypatch, blur, transforms):
+    """Per iteration: one grad2, grad, div2 and div each, and only the
+    half-spectrum transforms of the g-solve (and of A g, with blur)."""
+    names = {grid: ("grad2", "grad", "div2", "div"),
+             np.fft: ("fft2", "ifft2", "rfft2", "irfft2")}
+    calls = dict.fromkeys((n for group in names.values() for n in group), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, group in names.items():
+        for name in group:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    shape = (10, 9)
+    f = np.random.default_rng(3).uniform(0.0, 1.0, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = np.full(shape, 0.5)
+
+    def count(iterations):
+        for name in calls:
+            calls[name] = 0
+        params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300,
+                              max_iter=iterations)
+        restore.run(f, A, params, omega)
+        return dict(calls)
+
+    few, many = count(2), count(7)
+    per_it = {name: (many[name] - few[name]) / 5 for name in calls}
+    assert per_it == {"grad2": 1, "grad": 1, "div2": 1, "div": 1, "fft2": 0,
+                      "ifft2": 0, "rfft2": transforms / 2,
+                      "irfft2": transforms / 2}
+    assert many["fft2"] == many["ifft2"] == 0
 
 
 def test_params_validation():
