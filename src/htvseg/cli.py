@@ -31,7 +31,8 @@ from .phantom import make_three_phase, make_two_phase
 from .weight import edge_weight
 
 # (config key, argparse dest, type, default). Config files use the key
-# spelling; every key is overridable by the flag of the same name.
+# spelling; every key is overridable by the flag of the same name. The
+# solver's defaults are those of SolverParams.
 _OPTIONS = [
     ("input", "input", str, None),
     ("phantom", "phantom", str, None),
@@ -41,13 +42,13 @@ _OPTIONS = [
     ("seed", "seed", int, 0),
     ("lambda", "lam", float, 0.1),
     ("gamma", "gamma", float, 1.95),
-    ("mu1", "mu1", float, 1.0),
-    ("mu2", "mu2", float, 1.0),
-    ("mu3", "mu3", float, 1.0),
-    ("iota", "iota", float, 1.0),
+    ("mu1", "mu1", float, restore.SolverParams.mu1),
+    ("mu2", "mu2", float, restore.SolverParams.mu2),
+    ("mu3", "mu3", float, restore.SolverParams.mu3),
+    ("iota", "iota", float, restore.SolverParams.iota),
     ("unconstrained", "unconstrained", bool, False),
-    ("eps", "eps", float, 1e-6),
-    ("max-iter", "max_iter", int, 1000),
+    ("eps", "eps", float, restore.SolverParams.epsilon),
+    ("max-iter", "max_iter", int, restore.SolverParams.max_iter),
     ("weight-sigma", "weight_sigma", float, 1.0),
     ("weight-varsigma", "weight_varsigma", float, 10.0),
     ("phases", "phases", int, 2),

@@ -21,7 +21,7 @@ KERNEL_SINGULAR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BlurKernel:
-    """Nonnegative, unit-sum convolution kernel with odd dimensions."""
+    """Finite, nonnegative, unit-sum convolution kernel with odd dimensions."""
 
     taps: np.ndarray
 
@@ -31,6 +31,8 @@ class BlurKernel:
             raise ValueError("kernel taps must be a 2-D array")
         if taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
             raise ValueError(f"kernel dimensions must be odd, got {taps.shape}")
+        if not np.isfinite(taps).all():
+            raise ValueError("kernel taps must be finite, got NaN or inf")
         if np.any(taps < 0):
             raise ValueError("kernel taps must be nonnegative")
         if abs(taps.sum() - 1.0) > 1e-12:

@@ -13,7 +13,8 @@ z, d and the mu3 coupling entirely.
 
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
 ``update_duals``) are the whole iteration: ``run`` calls them in order,
-passing in the gradients of g it computed once per iteration. Each update
+passing in the gradients of g and the primal residuals it formed once per
+iteration, and the shrink thresholds it built once per run. Each update
 overwrites its own variable of the state in place, since the old value is
 dead by the time it runs, and returns it.
 
@@ -47,7 +48,7 @@ class SolverParams:
     mu2: float = 1.0
     mu3: float = 1.0
     iota: float = 1.0
-    epsilon: float = 1e-6
+    epsilon: float = 1e-3
     max_iter: int = 1000
     constrained: bool = True
 
@@ -79,10 +80,12 @@ class SolverState:
 
 @dataclass
 class ConvergenceReport:
-    """Per-iteration diagnostics: the primal residual norms |grad2 g - q|,
-    |grad g - v| and |g - z| (the duals ascend by these residuals, so they
-    are also the sizes of the dual steps), the objective of g, and why the
-    loop stopped. Unconstrained runs report NaN for res_z."""
+    """Per-iteration diagnostics: the raw l2 norms of the primal residuals
+    grad2 g - q, grad g - v and g - z (the duals ascend by these residuals,
+    so they are also the sizes of the dual steps), the objective of g, and
+    why the loop stopped: "tolerance" when the largest residual norm, divided
+    by sqrt(m*n), reached params.epsilon, else "max_iter". Unconstrained runs
+    report NaN for res_z."""
 
     res_q: np.ndarray = field(default_factory=lambda: np.empty(0))
     res_v: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -177,29 +180,37 @@ def _shrink(h: np.ndarray, threshold: np.ndarray) -> np.ndarray:
 
 
 def update_q(state: SolverState, params: SolverParams, omega: np.ndarray,
-             grad2_g: np.ndarray | None = None) -> np.ndarray:
+             grad2_g: np.ndarray | None = None,
+             threshold: np.ndarray | None = None) -> np.ndarray:
     """Shrink b + grad2 g with per-pixel threshold lam*(1 - w)/mu1.
 
     The result overwrites state.q (the old q is dead once g is solved) and
-    is returned. ``grad2_g`` is grad2 of state.g, computed here if not given.
+    is returned. ``grad2_g`` is grad2 of state.g and ``threshold`` is
+    lam*(1 - w)/mu1; each is computed here if not given.
     """
     if grad2_g is None:
         grad2_g = grid.grad2(state.g)
+    if threshold is None:
+        threshold = params.lam * (1.0 - omega) / params.mu1
     h = np.add(state.b, grad2_g, out=state.q)
-    return _shrink(h, params.lam * (1.0 - omega) / params.mu1)
+    return _shrink(h, threshold)
 
 
 def update_v(state: SolverState, params: SolverParams, omega: np.ndarray,
-             grad_g: np.ndarray | None = None) -> np.ndarray:
+             grad_g: np.ndarray | None = None,
+             threshold: np.ndarray | None = None) -> np.ndarray:
     """Shrink c + grad g with per-pixel threshold gamma*w/mu2.
 
     The result overwrites state.v and is returned. ``grad_g`` is grad of
-    state.g, computed here if not given.
+    state.g and ``threshold`` is gamma*w/mu2; each is computed here if not
+    given.
     """
     if grad_g is None:
         grad_g = grid.grad(state.g)
+    if threshold is None:
+        threshold = params.gamma * omega / params.mu2
     h = np.add(state.c, grad_g, out=state.v)
-    return _shrink(h, params.gamma * omega / params.mu2)
+    return _shrink(h, threshold)
 
 
 def update_z(state: SolverState, params: SolverParams) -> np.ndarray:
@@ -210,37 +221,41 @@ def update_z(state: SolverState, params: SolverParams) -> np.ndarray:
     return np.clip(z, 0.0, params.iota, out=z)
 
 
-def update_duals(state: SolverState, grad2_g: np.ndarray | None = None,
-                 grad_g: np.ndarray | None = None
+def update_duals(state: SolverState, res_q: np.ndarray | None = None,
+                 res_v: np.ndarray | None = None,
+                 res_z: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Dual ascent by the primal residuals, in place: b += grad2 g - q,
     c += grad g - v, d += g - z (unit step, no relaxation). Returns the
-    state's (b, c, d). ``grad2_g`` and ``grad_g`` are the gradients of
-    state.g, computed here if not given."""
-    if grad2_g is None:
-        grad2_g = grid.grad2(state.g)
-    if grad_g is None:
-        grad_g = grid.grad(state.g)
-    state.b += grad2_g - state.q
-    state.c += grad_g - state.v
+    state's (b, c, d). ``res_q``, ``res_v`` and ``res_z`` are those three
+    residuals, formed here from the state if not given."""
+    if res_q is None:
+        res_q = grid.grad2(state.g) - state.q
+    if res_v is None:
+        res_v = grid.grad(state.g) - state.v
+    state.b += res_q
+    state.c += res_v
     if state.d is not None:
-        state.d += state.g - state.z
+        state.d += state.g - state.z if res_z is None else res_z
     return state.b, state.c, state.d
 
 
 def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
               params: SolverParams, omega: np.ndarray,
               grad2_u: np.ndarray | None = None,
-              grad_u: np.ndarray | None = None) -> float:
+              grad_u: np.ndarray | None = None,
+              one_minus_omega: np.ndarray | None = None) -> float:
     """Model objective ||f - A u||^2 + lam*|(1-w) grad2 u|_1 + gamma*|w grad u|_1
     (box indicator omitted; the caller knows which iterates are feasible).
-    ``grad2_u`` and ``grad_u`` are the gradients of u, computed here if not
-    given."""
+    ``grad2_u`` and ``grad_u`` are the gradients of u and ``one_minus_omega``
+    is 1 - w; each is computed here if not given."""
     r = f - apply_A(A, u)
     data = float(np.sum(r * r))
     p2 = grid.grad2(u) if grad2_u is None else grad2_u
     p1 = grid.grad(u) if grad_u is None else grad_u
-    t2 = float(np.sum((1.0 - omega) * grid.pixel_magnitude(p2)))
+    if one_minus_omega is None:
+        one_minus_omega = 1.0 - omega
+    t2 = float(np.sum(one_minus_omega * grid.pixel_magnitude(p2)))
     t1 = float(np.sum(omega * grid.pixel_magnitude(p1)))
     return data + params.lam * t2 + params.gamma * t1
 
@@ -254,8 +269,15 @@ def _require_finite(name: str, a: np.ndarray) -> None:
 
 def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         omega: np.ndarray, trace=None) -> tuple[np.ndarray, ConvergenceReport]:
-    """Iterate the split Bregman scheme from g0 = f until the smallest dual
-    increment drops to params.epsilon or max_iter is reached.
+    """Iterate the split Bregman scheme from g0 = f until the largest primal
+    residual, as a per-pixel RMS, drops to params.epsilon, or max_iter is
+    reached.
+
+    The test is max(|grad2 g - q|, |grad g - v|, |g - z|) <= epsilon *
+    sqrt(m*n) on the raw l2 norms (|g - z| only in constrained mode). The
+    scaling makes the rule independent of the image size: a periodic image
+    tiled k times stops at the same iteration. A residual that stays exactly
+    0, such as |g - z| under an inactive box, neither blocks nor trips it.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
@@ -265,8 +287,10 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     dual increments), objective.
 
     Each iteration computes grad2 g and grad g once and hands them to every
-    step that needs them; A* f and the g-solve's symbol are computed once
-    per run. Non-finite pixels in f or omega raise ValueError up front.
+    step that needs them, and forms each primal residual once for both its
+    norm and the dual update. A* f, the g-solve's symbol and the shrink
+    thresholds are computed once per run. Non-finite pixels in f or omega
+    raise ValueError up front.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -285,6 +309,10 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     state = init_state(f, params)
     denom = g_denominator(A, params)
     adjoint_f = apply_adjoint(A, f)
+    one_minus_omega = 1.0 - omega
+    q_threshold = params.lam * one_minus_omega / params.mu1
+    v_threshold = params.gamma * omega / params.mu2
+    tolerance = params.epsilon * np.sqrt(f.size)
 
     res_q, res_v, res_z = [], [], []
     energies = []
@@ -297,19 +325,24 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
                                      "check parameters")
         grad2_g = grid.grad2(state.g)
         grad_g = grid.grad(state.g)
-        update_q(state, params, omega, grad2_g)
-        update_v(state, params, omega, grad_g)
+        update_q(state, params, omega, grad2_g, q_threshold)
+        update_v(state, params, omega, grad_g, v_threshold)
         if params.constrained:
             update_z(state, params)
+        energy = objective(state.g, f, A, params, omega, grad2_g, grad_g,
+                           one_minus_omega)
 
-        rq = grid.norm_l2(grad2_g - state.q)
-        rv = grid.norm_l2(grad_g - state.v)
-        rz = grid.norm_l2(state.g - state.z) if params.constrained else np.nan
-        update_duals(state, grad2_g, grad_g)
-        energy = objective(state.g, f, A, params, omega, grad2_g, grad_g)
-        # Free the gradients before the next g-solve, so that its
-        # temporaries reuse their memory instead of adding to the peak.
-        del grad2_g, grad_g
+        # The residuals overwrite the gradients, which are dead once the
+        # energy is taken, so forming them allocates no vector field; all
+        # are freed before the next g-solve so its temporaries reuse them.
+        r_q = np.subtract(grad2_g, state.q, out=grad2_g)
+        r_v = np.subtract(grad_g, state.v, out=grad_g)
+        r_z = state.g - state.z if params.constrained else None
+        rq = grid.norm_l2(r_q)
+        rv = grid.norm_l2(r_v)
+        rz = grid.norm_l2(r_z) if params.constrained else np.nan
+        update_duals(state, r_q, r_v, r_z)
+        del grad2_g, grad_g, r_q, r_v, r_z
 
         res_q.append(rq)
         res_v.append(rv)
@@ -319,14 +352,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             trace.write(f"{k}\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}"
                         f"\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}\t{energy:.12e}\n")
 
-        # Dual increments equal the primal residuals (unit-step ascent).
-        # An increment of exactly zero is vacuous, not converged: an inactive
-        # box constraint keeps d frozen (increment 0) from the first step,
-        # which would otherwise trip the minimum immediately. Skip exact
-        # zeros; if every increment is zero the iteration is at a fixed point.
-        incs = (rq, rv, rz) if params.constrained else (rq, rv)
-        informative = [r for r in incs if r > 0.0]
-        if not informative or min(informative) <= params.epsilon:
+        if max((rq, rv, rz) if params.constrained else (rq, rv)) <= tolerance:
             termination = "tolerance"
             break
 

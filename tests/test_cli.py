@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from htvseg import cli, imageio, metrics, phantom
+from htvseg import cli, imageio, metrics, phantom, restore
 
 
 def base_cfg(**overrides):
@@ -60,6 +60,15 @@ def test_flag_beats_config_beats_default(tmp_path):
     assert cfg["lam"] == 0.5       # from config
     assert cfg["gamma"] == 7.0     # flag wins
     assert cfg["mu1"] == 1.0       # default
+
+
+def test_solver_defaults_come_from_solver_params():
+    defaults = {dest: default for _key, dest, _typ, default in cli._OPTIONS}
+    params = restore.SolverParams(lam=defaults["lam"], gamma=defaults["gamma"])
+    for dest, field in [("eps", "epsilon"), ("max_iter", "max_iter"),
+                        ("mu1", "mu1"), ("mu2", "mu2"), ("mu3", "mu3"),
+                        ("iota", "iota")]:
+        assert defaults[dest] == getattr(params, field)
 
 
 def test_parse_phantom_specs():

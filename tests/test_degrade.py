@@ -36,6 +36,19 @@ def test_kernel_invariants():
     assert abs(k.taps.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_rejects_non_finite_taps(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BlurKernel(np.array([[bad, 0.5, 0.5]]))
+
+
+def test_load_kernel_rejects_nan_tap(tmp_path):
+    path = tmp_path / "kernel.txt"
+    path.write_text("1 3\nnan 0.5 0.5\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_kernel(path)
+
+
 def test_gaussian_kernel_trivial_sizes():
     assert np.array_equal(gaussian_kernel(1, 2.0).taps, [[1.0]])
     flat = gaussian_kernel(3, 1e6).taps

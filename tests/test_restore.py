@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from htvseg import grid, restore
+from htvseg import add_gaussian_noise, edge_weight, grid, make_two_phase, restore
 from htvseg.degrade import (BlurKernel, LinearOperatorA, apply, apply_adjoint,
                             gaussian_kernel)
 from htvseg.restore import SolverParams, SolverState
@@ -219,6 +219,41 @@ def test_run_constant_image_stops_at_one_iteration():
     assert report.iterations == 1
     assert report.termination == "tolerance"
     assert np.max(np.abs(g - f)) < 1e-12
+
+
+def test_run_stop_does_not_depend_on_image_size():
+    """A periodic image tiled 1x, 2x and 3x has the same per-pixel
+    residuals, so the rule stops all three at the same iteration."""
+    ph = make_two_phase(48, 48, "disk", 0.2, 0.8)
+    f = add_gaussian_noise(ph.image, 0.1, seed=5)
+    params = SolverParams(lam=0.1, gamma=1.95)
+    stops = []
+    for k in (1, 2, 3):
+        tiled = np.tile(f, (k, k))
+        _, report = restore.run(tiled, LinearOperatorA.identity(tiled.shape),
+                                params, edge_weight(tiled, 1.0, 10.0))
+        assert report.termination == "tolerance"
+        stops.append(report.iterations)
+    assert stops[0] < params.max_iter
+    assert stops == [stops[0]] * 3
+
+
+def test_run_inactive_box_stops_by_tolerance():
+    """An image strictly inside (0, 1) never meets the box: |g - z| stays
+    exactly 0 and the other residuals alone decide the stop."""
+    rng = np.random.default_rng(4)
+    i, j = np.ogrid[:32, :32]
+    f = 0.5 + 0.2 * np.sin(i / 5.0) * np.cos(j / 7.0) + rng.normal(0, 0.02, (32, 32))
+    assert 0.0 < f.min() and f.max() < 1.0
+    params = SolverParams(lam=0.1, gamma=0.5)
+    _, report = restore.run(f, LinearOperatorA.identity(f.shape), params,
+                            edge_weight(f, 1.0, 10.0))
+    assert np.all(report.res_z == 0.0)
+    assert report.termination == "tolerance"
+    assert 1 < report.iterations < params.max_iter
+    worst = np.maximum(report.res_q, report.res_v)
+    tolerance = params.epsilon * np.sqrt(f.size)
+    assert worst[-1] <= tolerance < worst[-2]
 
 
 def test_solve_g_consistent_couplings_reproduce_f():
