@@ -52,8 +52,6 @@ _OPTIONS = [
     ("weight-sigma", "weight_sigma", float, 1.0),
     ("weight-varsigma", "weight_varsigma", float, 10.0),
     ("phases", "phases", int, 2),
-    ("restarts", "restarts", int, 10),
-    ("cluster-seed", "cluster_seed", int, 0),
     ("truth", "truth", str, None),
     ("out-dir", "out_dir", str, "out"),
     ("trace", "trace", str, None),
@@ -211,8 +209,7 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
 
     t0 = time.perf_counter()
     stretched = cluster.stretch(restored)
-    km = cluster.kmeans_1d(stretched.ravel(), cfg["phases"],
-                           restarts=cfg["restarts"], seed=cfg["cluster_seed"])
+    km = cluster.kmeans_1d(stretched.ravel(), cfg["phases"])
     labeling = cluster.label(stretched, km.centers)
     recon = cluster.piecewise_constant(labeling)
     t_cluster = time.perf_counter() - t0
@@ -255,15 +252,13 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         f"weight-sigma: {_fmt(cfg['weight_sigma'])}",
         f"weight-varsigma: {_fmt(cfg['weight_varsigma'])}",
         f"phases: {cfg['phases']}",
-        f"restarts: {cfg['restarts']}",
-        f"cluster-seed: {cfg['cluster_seed']}",
         f"iterations: {report.iterations}",
         f"termination: {report.termination}",
         f"final-res-q: {_fmt(float(report.res_q[-1]))}",
         f"final-res-v: {_fmt(float(report.res_v[-1]))}",
         f"final-res-z: {_fmt(float(report.res_z[-1]))}",
-        f"restart-wcss: {_fmt_seq(km.restart_wcss)}",
         f"centers: {_fmt_seq(km.centers)}",
+        f"wcss: {_fmt(km.wcss)}",
         f"thresholds: {_fmt_seq(labeling.thresholds)}",
         f"phase-means: {_fmt_seq(labeling.phase_means)}",
         f"sa: {_fmt(sa_value) if sa_value is not None else 'n/a'}",

@@ -1,9 +1,10 @@
 """Stage-2 thresholding: linear stretch, 1-D K-means, phase labeling.
 
-The restored image is stretched to [0,1], its intensities are clustered
-into K groups by Lloyd's algorithm (several seeded restarts, keep the best
-within-cluster sum of squares), and the midpoints of consecutive sorted
-centers become the K-1 thresholds that cut the range into phases.
+The restored image is stretched to [0,1], its intensities are split into K
+groups by exact 1-D K-means (a dynamic program over split points of the
+sorted values, which reaches the global optimum of the within-cluster sum
+of squares without seeds), and the midpoints of consecutive sorted centers
+become the K-1 thresholds that cut the range into phases.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LLOYD_MAX_SWEEPS = 500
-# below this size restart 0 seeds at the exact optimal contiguous partition
-EXACT_SEED_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Sorted centers of the best restart plus per-restart energies."""
+    """Sorted cluster centers and their within-cluster sum of squares.
+    ``restart_wcss`` holds the energy of each solve; the exact method
+    solves once, so it is the one-entry array ``[wcss]``."""
 
     centers: np.ndarray
     wcss: float
@@ -52,128 +51,93 @@ def stretch(g: np.ndarray) -> np.ndarray:
     return (g - lo) / (hi - lo)
 
 
-def _lloyd(values: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lloyd iteration to an assignment fixpoint. Empty clusters are
-    re-seeded at the value farthest from its currently assigned center."""
-    centers = centers.copy()
-    k = len(centers)
-    prev = None
-    for _ in range(LLOYD_MAX_SWEEPS):
-        dist = (values[:, None] - centers[None, :]) ** 2
-        assign = np.argmin(dist, axis=1)
-        for j in range(k):
-            if not np.any(assign == j):
-                far = np.argmax(np.abs(values - centers[assign]))
-                centers[j] = values[far]
-                assign[far] = j
-        if prev is not None and np.array_equal(assign, prev):
-            break
-        prev = assign
-        for j in range(k):
-            centers[j] = values[assign == j].mean()
-    wcss = float(np.sum((values - centers[assign]) ** 2))
-    return centers, wcss
+def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int):
+    """One DP layer: for every end point i in [lo, hi], the split j in
+    [lo-1, i-1] minimizing e[j] - (s1[i] - s1[j])**2 / (i - j), and that
+    minimum (inf outside [lo, hi]). Optimal splits are monotone in i, so
+    the argmins come from a divide and conquer that solves the middle end
+    point of each open interval and hands each half the matching part of
+    the split range. Each recursion level is one batch of array operations
+    over all intervals' candidates at once, which number at most n plus
+    the intervals. Ties keep the smallest split."""
+    best = np.full(e.size, np.inf)
+    arg = np.zeros(e.size, dtype=np.intp)
+    ilo, ihi = np.array([lo]), np.array([hi])
+    jlo, jhi = np.array([lo - 1]), np.array([hi - 1])
+    while ilo.size:
+        mid = (ilo + ihi) // 2
+        jtop = np.minimum(jhi, mid - 1)
+        counts = jtop - jlo + 1
+        starts = np.cumsum(counts) - counts
+        j = np.arange(int(counts.sum())) - np.repeat(starts - jlo, counts)
+        seg = s1[j]
+        seg -= np.repeat(s1[mid], counts)
+        seg *= seg
+        seg /= np.repeat(mid, counts) - j
+        val = e[j]
+        val -= seg
+        low = np.minimum.reduceat(val, starts)
+        hits = np.flatnonzero(val == np.repeat(low, counts))
+        opt = j[hits[np.searchsorted(hits, starts)]]
+        best[mid], arg[mid] = low, opt
+        left, right = ilo < mid, mid < ihi
+        ilo, ihi, jlo, jhi = (np.concatenate((ilo[left], mid[right] + 1)),
+                              np.concatenate((mid[left] - 1, ihi[right])),
+                              np.concatenate((jlo[left], opt[right])),
+                              np.concatenate((opt[left], jhi[right])))
+    return best, arg
 
 
-def _segment_means(s1: np.ndarray, bounds) -> np.ndarray:
-    """Means of sorted-value segments [bounds[i], bounds[i+1]) from the
-    zero-padded prefix sum s1."""
-    bounds = np.asarray(bounds)
-    return (s1[bounds[1:]] - s1[bounds[:-1]]) / (bounds[1:] - bounds[:-1])
+def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
+              seed: int | None = None) -> KMeansResult:
+    """Globally optimal 1-D k-means: the k groups with the lowest
+    within-cluster sum of squares, and their sorted centers.
 
-
-def _optimal_partition_means(xs: np.ndarray, k: int) -> np.ndarray:
-    """Exact 1-D k-means on sorted values. Optimal clusters are contiguous
-    in sorted order, so a dynamic program over split points (prefix-sum
-    segment costs, O(k n^2)) finds the global optimum; returns its segment
-    means. Only worth it for small inputs."""
-    n = xs.size
-    s1 = np.concatenate(([0.0], np.cumsum(xs)))
-    s2 = np.concatenate(([0.0], np.cumsum(xs * xs)))
-
-    def seg_cost(j, i):
-        # within-segment sum of squares for xs[j:i]; j may be an array
-        tot = s1[i] - s1[j]
-        return (s2[i] - s2[j]) - tot * tot / (i - j)
-
-    prev = np.full(n + 1, np.inf)
-    prev[1:] = seg_cost(0, np.arange(1, n + 1))
-    splits = np.zeros((k + 1, n + 1), dtype=int)
-    for c in range(2, k + 1):
-        cur = np.full(n + 1, np.inf)
-        for i in range(c, n + 1):
-            j = np.arange(c - 1, i)
-            total = prev[j] + seg_cost(j, i)
-            best = int(np.argmin(total))
-            cur[i] = total[best]
-            splits[c, i] = c - 1 + best
-        prev = cur
-    bounds = [n]
-    for c in range(k, 1, -1):
-        bounds.append(splits[c, bounds[-1]])
-    bounds.append(0)
-    return _segment_means(s1, bounds[::-1])
-
-
-def _weighted_draw(distinct: np.ndarray, k: int, rng) -> np.ndarray:
-    """First seed uniform from the distinct values, later seeds drawn with
-    probability proportional to squared distance from the chosen set."""
-    picks = [distinct[rng.integers(len(distinct))]]
-    while len(picks) < k:
-        d2 = np.min([(distinct - p) ** 2 for p in picks], axis=0)
-        picks.append(rng.choice(distinct, p=d2 / d2.sum()))
-    return np.array(picks)
-
-
-def kmeans_1d(values: np.ndarray, k: int, restarts: int = 10,
-              seed: int = 0) -> KMeansResult:
-    """Cluster scalar values into k groups; return the sorted centers of the
-    restart with the lowest within-cluster sum of squares.
-
-    Seeding exploits the 1-D structure (optimal clusters are contiguous in
-    sorted order). Restart 0 is deterministic: the exact optimal partition's
-    segment means when n <= EXACT_SEED_LIMIT, the k-quantile partition's
-    otherwise. Every other restart r draws from stream (seed, r), odd ones
-    by squared-distance-weighted sampling of distinct values, even ones by
-    seeding at a random contiguous partition's segment means; results are
-    reproducible and restarts are order-independent (ties keep the earliest
-    restart).
+    Optimal clusters are contiguous in sorted order, so a dynamic program
+    over split points of the sorted values finds the optimum exactly
+    (Wang & Song 2011; Gronlund et al. 2017). Segment costs come from
+    prefix sums of the mean-centered values. Each inner layer is solved by
+    :func:`_split_layer` in O(n log n); the last layer needs only the end
+    point n, so it is one O(n) scan. No seeds are drawn, so the result is
+    deterministic. ``restarts`` and ``seed`` are ignored; they are kept so
+    that callers of the former restart heuristic keep working.
     """
     values = np.asarray(values, dtype=float).ravel()
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    distinct = np.unique(values)
-    if len(distinct) < k:
-        raise ValueError(f"need at least {k} distinct values, got {len(distinct)}")
-
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise ValueError(f"values to cluster have {bad} non-finite "
+                         f"entr{'y' if bad == 1 else 'ies'} (NaN or inf)")
     xs = np.sort(values)
     n = xs.size
-    s1 = np.concatenate(([0.0], np.cumsum(xs)))
-    best_centers, best_wcss = None, np.inf
-    all_wcss = np.empty(restarts)
-    for r in range(restarts):
-        if r == 0:
-            if n <= EXACT_SEED_LIMIT:
-                init = _optimal_partition_means(xs, k)
-            else:
-                init = _segment_means(
-                    s1, np.round(np.arange(k + 1) * n / k).astype(int))
-        else:
-            rng = np.random.default_rng([seed, r])
-            if r % 2 == 1:
-                init = _weighted_draw(distinct, k, rng)
-            else:
-                cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1,
-                                          replace=False))
-                init = _segment_means(s1, np.concatenate(([0], cuts, [n])))
-        centers, wcss = _lloyd(values, init)
-        all_wcss[r] = wcss
-        if wcss < best_wcss:
-            best_centers, best_wcss = centers, wcss
-    return KMeansResult(centers=np.sort(best_centers), wcss=best_wcss,
-                        restart_wcss=all_wcss)
+    distinct = min(n, 1 + int(np.count_nonzero(xs[1:] != xs[:-1])))
+    if distinct < k:
+        raise ValueError(f"need at least {k} distinct values, got {distinct}")
+
+    centered = xs - xs.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(centered)))
+    s2 = np.concatenate(([0.0], np.cumsum(centered * centered)))
+    # cost of the best c-segment split of xs[:i] is s2[i] + best_c[i];
+    # e[j] = cost_{c-1}(j) - s2[j] is what layer c minimizes over splits j
+    e = np.full(n + 1, np.inf)
+    e[1:] = -s1[1:] ** 2 / np.arange(1, n + 1)
+    splits = []
+    for c in range(2, k):
+        e, arg = _split_layer(e, s1, c, n - k + c)
+        splits.append(arg)
+    j = np.arange(k - 1, n)
+    last = e[j] - (s1[n] - s1[j]) ** 2 / (n - j)
+    bounds = [n, k - 1 + int(np.argmin(last))]
+    for arg in reversed(splits):
+        bounds.append(int(arg[bounds[-1]]))
+    bounds.append(0)
+    bounds.reverse()
+
+    centers = np.array([xs[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+    wcss = float(sum(np.sum((xs[a:b] - mu) ** 2)
+                     for a, b, mu in zip(bounds[:-1], bounds[1:], centers)))
+    return KMeansResult(centers=centers, wcss=wcss, restart_wcss=np.array([wcss]))
 
 
 def label(g_stretched: np.ndarray, centers: np.ndarray) -> PhaseLabeling:

@@ -128,19 +128,17 @@ def _transfer_function(kernel: BlurKernel, shape: tuple[int, int]) -> np.ndarray
 
 @dataclass(frozen=True)
 class LinearOperatorA:
-    """Degradation operator: identity or periodic convolution on a fixed grid."""
+    """Degradation operator: identity or periodic convolution on a fixed grid.
+    The identity holds no transfer function; its symbol is 1 everywhere."""
 
     kind: str
     shape: tuple[int, int]
     kernel: BlurKernel | None = None
-    transfer: np.ndarray = field(repr=False, default=None)
+    transfer: np.ndarray | None = field(repr=False, default=None)
 
     @staticmethod
     def identity(shape: tuple[int, int]) -> "LinearOperatorA":
-        return LinearOperatorA(
-            kind="identity", shape=tuple(shape), kernel=None,
-            transfer=np.ones(shape, dtype=complex),
-        )
+        return LinearOperatorA(kind="identity", shape=tuple(shape))
 
     @staticmethod
     def convolution(kernel: BlurKernel, shape: tuple[int, int]) -> "LinearOperatorA":
@@ -152,7 +150,16 @@ class LinearOperatorA:
     @property
     def invertible(self) -> bool:
         """True when no transfer coefficient vanishes (trivial kernel/null space)."""
+        if self.kind == "identity":
+            return True
         return bool(np.min(np.abs(self.transfer)) > KERNEL_SINGULAR_TOL)
+
+    def gain_half(self) -> np.ndarray | float:
+        """|Ahat|^2 on the half-spectrum that ``np.fft.rfft2`` returns,
+        shape (m, n//2 + 1); the scalar 1.0 for the identity."""
+        if self.kind == "identity":
+            return 1.0
+        return np.abs(self.transfer[:, : self.shape[1] // 2 + 1]) ** 2
 
     def _check_shape(self, g: np.ndarray):
         if g.shape != self.shape:

@@ -134,8 +134,7 @@ def g_denominator(A: LinearOperatorA, params: SolverParams) -> np.ndarray:
     shape = A.shape
     L1 = _operator_symbol(lambda u: grid.div2(grid.grad2(u)), shape)
     L2 = _operator_symbol(lambda u: grid.div(grid.grad(u)), shape)
-    transfer = A.transfer[:, : shape[1] // 2 + 1]
-    D = np.abs(transfer) ** 2 + params.mu1 * L1 - params.mu2 * L2
+    D = A.gain_half() + params.mu1 * L1 - params.mu2 * L2
     if params.constrained:
         D = D + params.mu3
         assert np.all(D >= params.mu3 - 1e-12)

@@ -69,8 +69,27 @@ def test_kmeans_centers_sorted_and_restart_trace():
     values = rng.uniform(0.0, 1.0, size=200)
     res = cluster.kmeans_1d(values, 3, restarts=7, seed=5)
     assert np.all(np.diff(res.centers) >= 0.0)
-    assert res.restart_wcss.shape == (7,)
+    assert res.restart_wcss.shape == (1,)      # one exact solve
     assert res.wcss == res.restart_wcss.min()
+    # the reported energy is that of assigning each value to its nearest center
+    nearest = np.min((values[:, None] - res.centers[None, :]) ** 2, axis=1)
+    assert res.wcss == pytest.approx(nearest.sum(), rel=1e-12)
+
+
+def dp_partition_wcss(values, k):
+    """Optimal 1-D k-means by the plain O(k n^2) dynamic program over split
+    points of the sorted values. cost[j, i] is the sum of squares of
+    x[j:i], from running sums shifted by the segment's first value."""
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    cost = np.full((n + 1, n + 1), np.inf)
+    for j in range(n):
+        d = x[j:] - x[j]
+        cost[j, j + 1:] = np.cumsum(d * d) - np.cumsum(d) ** 2 / np.arange(1, n - j + 1)
+    best = cost[0].copy()
+    for _ in range(2, k + 1):
+        best = np.min(best[:, None] + cost, axis=0)
+    return best[n]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -85,13 +104,40 @@ def test_kmeans_matches_exhaustive_oracle(seed, k):
     assert np.allclose(np.sort(res.centers), centers_star, atol=1e-9)
 
 
+@pytest.mark.parametrize("case", range(12))
+def test_kmeans_matches_quadratic_dp(case):
+    rng = np.random.default_rng([7, case])
+    k = 2 + case % 4
+    n = int(rng.integers(150, 300))
+    values = rng.uniform(0.0, 1.0, size=n)
+    if case % 2:
+        values = np.round(values * 20) / 20   # many duplicates
+    res = cluster.kmeans_1d(values, k)
+    assert abs(res.wcss - dp_partition_wcss(values, k)) < 1e-9
+    assert np.all(np.diff(res.centers) > 0.0)
+
+
+def test_kmeans_three_gaussian_mixture_reaches_global_optimum():
+    # A local-minimum trap: Lloyd from one seed stops at WCSS 35.3 here.
+    rng = np.random.default_rng(0)
+    values = np.concatenate([rng.normal(0.1, 0.02, 9000),
+                             rng.normal(0.5, 0.02, 300),
+                             rng.normal(0.9, 0.02, 700)])
+    res = cluster.kmeans_1d(values, 3)
+    assert res.wcss == pytest.approx(3.98, abs=0.01)
+    assert np.allclose(res.centers, [0.1, 0.5, 0.9], atol=0.005)
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     values = rng.uniform(size=50)
     a = cluster.kmeans_1d(values, 3, restarts=5, seed=9)
     b = cluster.kmeans_1d(values, 3, restarts=5, seed=9)
-    assert np.array_equal(a.centers, b.centers)
-    assert np.array_equal(a.restart_wcss, b.restart_wcss)
+    c = cluster.kmeans_1d(values, 3)   # restarts and seed are ignored
+    for other in (b, c):
+        assert np.array_equal(a.centers, other.centers)
+        assert a.wcss == other.wcss
+        assert np.array_equal(a.restart_wcss, other.restart_wcss)
 
 
 def test_kmeans_argument_errors():
@@ -99,9 +145,15 @@ def test_kmeans_argument_errors():
     with pytest.raises(ValueError):
         cluster.kmeans_1d(values, 1)
     with pytest.raises(ValueError):
-        cluster.kmeans_1d(values, 2, restarts=0)
-    with pytest.raises(ValueError):
         cluster.kmeans_1d(np.full(10, 0.5), 2)  # fewer distinct values than k
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_non_finite(bad):
+    values = np.linspace(0.0, 1.0, 10)
+    values[[2, 7]] = bad
+    with pytest.raises(ValueError, match="2 non-finite"):
+        cluster.kmeans_1d(values, 2)
 
 
 def test_label_two_phase():
@@ -144,6 +196,25 @@ def test_label_empty_phase_keeps_center_as_mean():
 def test_label_requires_sorted_centers():
     with pytest.raises(ValueError):
         cluster.label(np.zeros((2, 2)), np.array([0.9, 0.1]))
+
+
+def test_label_matches_threshold_count_reference():
+    # values on and next to the thresholds; ties join the upper phase
+    centers = np.array([0.1, 0.4, 0.4, 0.9])
+    thresholds = 0.5 * (centers[:-1] + centers[1:])
+    rng = np.random.default_rng(2)
+    g = np.concatenate([rng.uniform(size=200), thresholds,
+                        np.nextafter(thresholds, 0.0), [0.0, 1.0]]).reshape(-1, 4)
+    lab = cluster.label(g, centers)
+    expected = np.ones(g.shape, dtype=np.int32)
+    for t in thresholds:
+        expected += (g >= t).astype(np.int32)
+    assert lab.labels.dtype == np.int32
+    assert np.array_equal(lab.labels, expected)
+    for i in range(4):
+        mask = expected == i + 1
+        mean = g[mask].mean() if mask.any() else centers[i]
+        assert lab.phase_means[i] == pytest.approx(mean, rel=1e-12)
 
 
 def test_label_monotone_in_value():

@@ -100,6 +100,18 @@ def test_g_denominator_positivity():
     assert np.all(Du > 0.0)
 
 
+@pytest.mark.parametrize("constrained", [True, False])
+def test_g_denominator_identity_matches_delta_kernel(constrained):
+    # the identity holds no transfer array; a 1x1 unit kernel has |Ahat| = 1
+    shape = (6, 9)
+    A = LinearOperatorA.identity(shape)
+    assert A.transfer is None and A.invertible
+    delta = LinearOperatorA.convolution(BlurKernel(np.ones((1, 1))), shape)
+    params = SolverParams(lam=0.1, gamma=1.0, constrained=constrained)
+    assert np.array_equal(restore.g_denominator(A, params),
+                          restore.g_denominator(delta, params))
+
+
 def prox_magnitude_oracle(a, mu, w):
     """argmin_{t>=0} (mu/2)(t-a)^2 + w*t by bounded scalar minimization."""
     res = minimize_scalar(lambda t: 0.5 * mu * (t - a) ** 2 + w * t,
