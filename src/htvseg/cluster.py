@@ -40,11 +40,18 @@ class PhaseLabeling:
         return len(self.centers)
 
 
+def _require_finite(name: str, a: np.ndarray) -> None:
+    """Raise ValueError naming ``a`` and counting its NaN or inf entries."""
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    if bad:
+        raise ValueError(f"{name} has {bad} non-finite "
+                         f"entr{'y' if bad == 1 else 'ies'} (NaN or inf)")
+
+
 def stretch(g: np.ndarray) -> np.ndarray:
     """Affine map of g onto [0,1]; a constant image maps to all zeros."""
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("cannot stretch a non-finite image")
+    _require_finite("image to stretch", g)
     lo, hi = g.min(), g.max()
     if hi == lo:
         return np.zeros_like(g)
@@ -105,10 +112,7 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     values = np.asarray(values, dtype=float).ravel()
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
-    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
-    if bad:
-        raise ValueError(f"values to cluster have {bad} non-finite "
-                         f"entr{'y' if bad == 1 else 'ies'} (NaN or inf)")
+    _require_finite("values to cluster", values)
     xs = np.sort(values)
     n = xs.size
     distinct = min(n, 1 + int(np.count_nonzero(xs[1:] != xs[:-1])))
@@ -147,6 +151,8 @@ def label(g_stretched: np.ndarray, centers: np.ndarray) -> PhaseLabeling:
     reports its center as the phase mean."""
     g_stretched = np.asarray(g_stretched, dtype=float)
     centers = np.asarray(centers, dtype=float)
+    _require_finite("image to label", g_stretched)
+    _require_finite("centers", centers)
     if centers.ndim != 1 or len(centers) < 2:
         raise ValueError("need a 1-D array of at least 2 centers")
     if np.any(np.diff(centers) < 0):

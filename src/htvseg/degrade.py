@@ -2,11 +2,11 @@
 
 The degradation model is f = A(g) + eta, where A is either the identity or
 a circular (periodic) convolution with a normalized blur kernel, and eta is
-zero-mean Gaussian noise. Convolutions run in the frequency domain through
-the kernel's transfer function, which is the FFT of the kernel zero-padded
-to the grid and circularly shifted so its center tap sits at index (0, 0).
-Fields are real, so the transforms are the real-input ``rfft2``/``irfft2``
-pair against the transfer function's half-spectrum.
+zero-mean Gaussian noise. Every periodic convolution, this blur and the
+edge weight's smoothing alike, runs through :func:`_convolve` against the
+half-spectrum (first n//2 + 1 columns) of the FFT of the kernel embedded in
+the grid with its center tap at (0, 0). Fields are real, so the transforms
+are the real-input ``rfft2``/``irfft2`` pair.
 """
 
 from __future__ import annotations
@@ -113,27 +113,26 @@ def motion_kernel(length: float, theta_deg: float) -> BlurKernel:
     return BlurKernel(acc / acc.sum())
 
 
-def _transfer_function(kernel: BlurKernel, shape: tuple[int, int]) -> np.ndarray:
-    """FFT of the kernel embedded on the grid with its center at (0, 0)."""
+def _transfer_function(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Half-spectrum transfer function, shape (m, n//2 + 1), of periodic
+    convolution with ``taps``. Taps beyond the grid wrap around and add up."""
     m, n = shape
-    if kernel.rows > m or kernel.cols > n:
-        raise ValueError(f"kernel {kernel.taps.shape} larger than grid {shape}")
+    r, c = taps.shape
     psf = np.zeros(shape)
-    ci, cj = kernel.rows // 2, kernel.cols // 2
-    for a in range(kernel.rows):
-        for b in range(kernel.cols):
-            psf[(a - ci) % m, (b - cj) % n] += kernel.taps[a, b]
-    return np.fft.fft2(psf)
+    rows = (np.arange(r) - r // 2) % m
+    cols = (np.arange(c) - c // 2) % n
+    np.add.at(psf, np.ix_(rows, cols), taps)
+    return np.ascontiguousarray(np.fft.fft2(psf)[:, : n // 2 + 1])
 
 
 @dataclass(frozen=True)
 class LinearOperatorA:
     """Degradation operator: identity or periodic convolution on a fixed grid.
-    The identity holds no transfer function; its symbol is 1 everywhere."""
+    A convolution holds its half-spectrum transfer function, shape
+    (m, n//2 + 1); the identity holds none, its symbol is 1 everywhere."""
 
     kind: str
     shape: tuple[int, int]
-    kernel: BlurKernel | None = None
     transfer: np.ndarray | None = field(repr=False, default=None)
 
     @staticmethod
@@ -142,14 +141,16 @@ class LinearOperatorA:
 
     @staticmethod
     def convolution(kernel: BlurKernel, shape: tuple[int, int]) -> "LinearOperatorA":
-        return LinearOperatorA(
-            kind="convolution", shape=tuple(shape), kernel=kernel,
-            transfer=_transfer_function(kernel, tuple(shape)),
-        )
+        shape = tuple(shape)
+        if kernel.rows > shape[0] or kernel.cols > shape[1]:
+            raise ValueError(f"kernel {kernel.taps.shape} larger than grid {shape}")
+        return LinearOperatorA(kind="convolution", shape=shape,
+                               transfer=_transfer_function(kernel.taps, shape))
 
     @property
     def invertible(self) -> bool:
-        """True when no transfer coefficient vanishes (trivial kernel/null space)."""
+        """True when no transfer coefficient vanishes (trivial kernel/null space);
+        |Ahat(k)| = |Ahat(-k)|, so the half-spectrum holds every magnitude."""
         if self.kind == "identity":
             return True
         return bool(np.min(np.abs(self.transfer)) > KERNEL_SINGULAR_TOL)
@@ -159,18 +160,16 @@ class LinearOperatorA:
         shape (m, n//2 + 1); the scalar 1.0 for the identity."""
         if self.kind == "identity":
             return 1.0
-        return np.abs(self.transfer[:, : self.shape[1] // 2 + 1]) ** 2
+        return np.abs(self.transfer) ** 2
 
     def _check_shape(self, g: np.ndarray):
         if g.shape != self.shape:
             raise ValueError(f"field shape {g.shape} does not match operator grid {self.shape}")
 
 
-def _convolve(g: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Periodic convolution of a real field with the operator whose full
-    transfer function is ``symbol``. Real data has a Hermitian spectrum, so
-    only the half-spectrum (the first n//2 + 1 columns) is transformed."""
-    half = symbol[:, : g.shape[1] // 2 + 1]
+def _convolve(g: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Periodic convolution of a real field with the operator whose
+    half-spectrum transfer function, shape (m, n//2 + 1), is ``half``."""
     return np.fft.irfft2(half * np.fft.rfft2(g), s=g.shape)
 
 

@@ -140,11 +140,6 @@ def pixel_magnitude(p: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def norm_l1_iso(p: np.ndarray) -> float:
-    """Isotropic l1 norm: sum over pixels of the per-pixel magnitude."""
-    return float(np.sum(pixel_magnitude(np.asarray(p, dtype=float))))
-
-
 def norm_l2(a: np.ndarray) -> float:
     """l2 norm over all entries (pixels and channels alike)."""
     a = np.asarray(a, dtype=float).ravel()

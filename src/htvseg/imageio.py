@@ -59,7 +59,8 @@ def _load_pgm(data: bytes) -> np.ndarray:
     return samples.astype(float) / maxval
 
 
-def _read_raw_header(data: bytes, magic: bytes):
+def _read_raw(data: bytes, magic: bytes, dtype: str) -> np.ndarray:
+    """Parse an RF64 or RI32 file, whose payload has the given dtype."""
     lines = data.split(b"\n", 2)
     if len(lines) < 3 or lines[0] != magic:
         raise ValueError(f"malformed {magic.decode()} file")
@@ -69,7 +70,18 @@ def _read_raw_header(data: bytes, magic: bytes):
         raise ValueError(f"malformed {magic.decode()} dimension line") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"bad dimensions {rows}x{cols}")
-    return rows, cols, lines[2]
+    payload, need = lines[2], rows * cols * np.dtype(dtype).itemsize
+    if len(payload) < need:
+        raise ValueError(f"truncated {magic.decode()} payload")
+    return np.frombuffer(payload[:need], dtype=dtype).reshape(rows, cols).copy()
+
+
+def _write_raw(a: np.ndarray, path, magic: bytes, dtype: str) -> None:
+    """Write ``a`` as an RF64 or RI32 file, its payload as the given dtype."""
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n")
+        fh.write(f"{a.shape[0]} {a.shape[1]}\n".encode())
+        fh.write(a.astype(dtype).tobytes())
 
 
 def load_image(path) -> np.ndarray:
@@ -79,11 +91,7 @@ def load_image(path) -> np.ndarray:
     if data[:2] == b"P5":
         return _load_pgm(data)
     if data[:4] == b"RF64":
-        rows, cols, payload = _read_raw_header(data, b"RF64")
-        need = rows * cols * 8
-        if len(payload) < need:
-            raise ValueError("truncated RF64 payload")
-        return np.frombuffer(payload[:need], dtype="<f8").reshape(rows, cols).copy()
+        return _read_raw(data, b"RF64", "<f8")
     raise ValueError(f"unrecognized image format in {path!r}")
 
 
@@ -111,10 +119,7 @@ def save_raw_float(field: np.ndarray, path) -> None:
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
         raise ValueError("can only save 2-D fields")
-    with open(path, "wb") as fh:
-        fh.write(b"RF64\n")
-        fh.write(f"{field.shape[0]} {field.shape[1]}\n".encode())
-        fh.write(field.astype("<f8").tobytes())
+    _write_raw(field, path, b"RF64", "<f8")
 
 
 def save_labels(labels: np.ndarray, path) -> None:
@@ -122,18 +127,11 @@ def save_labels(labels: np.ndarray, path) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("can only save 2-D label maps")
-    with open(path, "wb") as fh:
-        fh.write(b"RI32\n")
-        fh.write(f"{labels.shape[0]} {labels.shape[1]}\n".encode())
-        fh.write(labels.astype("<i4").tobytes())
+    _write_raw(labels, path, b"RI32", "<i4")
 
 
 def load_labels(path) -> np.ndarray:
     """Read a label map written by save_labels."""
     with open(path, "rb") as fh:
         data = fh.read()
-    rows, cols, payload = _read_raw_header(data, b"RI32")
-    need = rows * cols * 4
-    if len(payload) < need:
-        raise ValueError("truncated RI32 payload")
-    return np.frombuffer(payload[:need], dtype="<i4").reshape(rows, cols).copy()
+    return _read_raw(data, b"RI32", "<i4")

@@ -2,15 +2,18 @@
 
 w(x) = 1 / (1 + contrast * |grad f_sigma(x)|^2), where f_sigma is the
 observed image smoothed by a periodic Gaussian of standard deviation
-``sigma``. The weight lives in (0, 1]: near 1 on flat regions (letting the
-second-order term dominate) and small across strong edges (shifting weight
-onto the first-order term, which preserves jumps).
+``sigma``; the smoothing is an FFT periodic convolution on the blur
+operator's path, ``degrade._convolve``. The weight lives in (0, 1]: near 1
+on flat regions (letting the second-order term dominate) and small across
+strong edges (shifting weight onto the first-order term, which preserves
+jumps).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .degrade import _convolve, _transfer_function
 from .grid import grad
 
 DEFAULT_SIGMA = 1.0
@@ -18,9 +21,11 @@ DEFAULT_CONTRAST = 10.0
 
 
 def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
-    """Periodic Gaussian smoothing, separable, truncated at radius ceil(3*sigma).
+    """Periodic Gaussian smoothing, truncated at radius ceil(3*sigma).
 
-    sigma = 0 returns a copy of the input unchanged.
+    The sampled 1-D Gaussian, normalized to sum 1, is applied along both
+    axes at once as its outer product. sigma = 0 returns a copy of the
+    input unchanged.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -31,13 +36,7 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     x = np.arange(-r, r + 1, dtype=float)
     taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
     taps /= taps.sum()
-    out = f.copy()
-    for axis in (0, 1):
-        acc = np.zeros_like(out)
-        for offset, tap in zip(range(-r, r + 1), taps):
-            acc += tap * np.roll(out, -offset, axis=axis)
-        out = acc
-    return out
+    return _convolve(f, _transfer_function(np.outer(taps, taps), f.shape))
 
 
 def edge_weight(f: np.ndarray, sigma: float = DEFAULT_SIGMA,

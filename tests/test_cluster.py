@@ -156,6 +156,15 @@ def test_kmeans_rejects_non_finite(bad):
         cluster.kmeans_1d(values, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_label_rejects_non_finite(bad):
+    g = np.array([[bad, 0.1], [0.9, 0.2]])
+    with pytest.raises(ValueError, match="image to label has 1 non-finite entry"):
+        cluster.label(g, np.array([0.1, 0.9]))
+    with pytest.raises(ValueError, match="centers has 1 non-finite entry"):
+        cluster.label(np.zeros((2, 2)), np.array([0.1, bad]))
+
+
 def test_label_two_phase():
     g = np.array([[0.0, 0.2], [0.8, 1.0]])
     lab = cluster.label(g, np.array([0.1, 0.9]))

@@ -149,6 +149,29 @@ def test_invertible_flag():
     assert not LinearOperatorA.convolution(k, (4, 4)).invertible
 
 
+def test_convolution_rejects_kernel_larger_than_grid():
+    k = gaussian_kernel(5, 1.0)
+    for shape in [(4, 8), (8, 4), (3, 3)]:
+        with pytest.raises(ValueError, match="larger than grid"):
+            LinearOperatorA.convolution(k, shape)
+    assert LinearOperatorA.convolution(k, (5, 5)).transfer.shape == (5, 3)
+
+
+@pytest.mark.parametrize("shape", [(8, 10), (7, 9)])
+def test_transfer_is_half_spectrum(shape):
+    rng = np.random.default_rng(4)
+    taps = rng.uniform(0.0, 1.0, size=(3, 5))
+    k = BlurKernel(taps / taps.sum())
+    m, n = shape
+    psf = np.zeros(shape)
+    for a in range(k.rows):
+        for b in range(k.cols):
+            psf[(a - k.rows // 2) % m, (b - k.cols // 2) % n] += k.taps[a, b]
+    transfer = LinearOperatorA.convolution(k, shape).transfer
+    assert transfer.shape == (m, n // 2 + 1)
+    assert np.array_equal(transfer, np.fft.fft2(psf)[:, : n // 2 + 1])
+
+
 def test_shape_mismatch_errors():
     A = LinearOperatorA.identity((4, 4))
     with pytest.raises(ValueError):

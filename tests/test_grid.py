@@ -165,18 +165,18 @@ def test_constants_in_kernel_of_composites():
     assert np.all(grid.div2(grid.grad2(ones)) == 0.0)
 
 
-def test_norm_l1_iso():
+def test_pixel_magnitude():
     p = np.zeros((3, 3, 2))
-    assert grid.norm_l1_iso(p) == 0.0
+    assert np.array_equal(grid.pixel_magnitude(p), np.zeros((3, 3)))
     p[1, 1] = (3.0, 4.0)
-    assert grid.norm_l1_iso(p) == 5.0
+    assert np.array_equal(grid.pixel_magnitude(p), [[0, 0, 0], [0, 5, 0], [0, 0, 0]])
     rng = np.random.default_rng(8)
     q = rng.normal(size=(4, 5, 4))
-    naive = 0.0
+    naive = np.empty((4, 5))
     for i in range(4):
         for j in range(5):
-            naive += np.sqrt(np.sum(q[i, j] ** 2))
-    assert abs(grid.norm_l1_iso(q) - naive) < 1e-12
+            naive[i, j] = np.sqrt(np.sum(q[i, j] ** 2))
+    assert np.max(np.abs(grid.pixel_magnitude(q) - naive)) < 1e-12
 
 
 def test_norm_l2_and_inner():
