@@ -24,15 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cluster, imageio, metrics, restore
+from . import cluster, imageio, metrics, restore, weight
 from .degrade import (LinearOperatorA, add_gaussian_noise, apply as apply_blur,
                       gaussian_kernel, motion_kernel, save_kernel)
 from .phantom import make_three_phase, make_two_phase
-from .weight import edge_weight
 
 # (config key, argparse dest, type, default). Config files use the key
 # spelling; every key is overridable by the flag of the same name. The
-# solver's defaults are those of SolverParams.
+# solver and edge-weight defaults are those of SolverParams and weight.
 _OPTIONS = [
     ("input", "input", str, None),
     ("phantom", "phantom", str, None),
@@ -49,8 +48,8 @@ _OPTIONS = [
     ("unconstrained", "unconstrained", bool, False),
     ("eps", "eps", float, restore.SolverParams.epsilon),
     ("max-iter", "max_iter", int, restore.SolverParams.max_iter),
-    ("weight-sigma", "weight_sigma", float, 1.0),
-    ("weight-varsigma", "weight_varsigma", float, 10.0),
+    ("weight-sigma", "weight_sigma", float, weight.DEFAULT_SIGMA),
+    ("weight-varsigma", "weight_varsigma", float, weight.DEFAULT_CONTRAST),
     ("phases", "phases", int, 2),
     ("truth", "truth", str, None),
     ("out-dir", "out_dir", str, "out"),
@@ -165,9 +164,6 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     if (cfg["input"] is None) == (cfg["phantom"] is None):
         raise ValueError("exactly one of --input or --phantom is required")
 
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # Ingest. Phantoms are degraded in-pipeline; external inputs are taken
     # as the observation itself unless --apply-degrade says otherwise.
     truth = None
@@ -183,8 +179,17 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         truth = imageio.load_labels(cfg["truth"])
         if truth.shape != clean.shape:
             raise ValueError(f"truth shape {truth.shape} does not match image {clean.shape}")
+    if cfg["phases"] < 2:
+        raise ValueError(f"--phases must be at least 2, got {cfg['phases']}")
+    if truth is not None and cfg["phases"] > truth.max():
+        raise ValueError(f"--phases {cfg['phases']} exceeds the truth's {truth.max()} phases")
 
     A, kernel = _parse_degrade(cfg["degrade"], clean.shape)
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # The trace is written after the solve; a missing directory fails now.
+    if cfg["trace"] is not None and not Path(cfg["trace"]).parent.is_dir():
+        raise ValueError(f"--trace directory {Path(cfg['trace']).parent} does not exist")
     t0 = time.perf_counter()
     if in_pipeline:
         f = add_gaussian_noise(apply_blur(A, clean), cfg["noise_var"], cfg["seed"])
@@ -193,19 +198,20 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         f = clean
     t_degrade = time.perf_counter() - t0
 
-    omega = edge_weight(f, cfg["weight_sigma"], cfg["weight_varsigma"])
+    omega = weight.edge_weight(f, cfg["weight_sigma"], cfg["weight_varsigma"])
     params = restore.SolverParams(
         lam=cfg["lam"], gamma=cfg["gamma"], mu1=cfg["mu1"], mu2=cfg["mu2"],
         mu3=cfg["mu3"], iota=cfg["iota"], epsilon=cfg["eps"],
         max_iter=cfg["max_iter"], constrained=not cfg["unconstrained"])
 
     t0 = time.perf_counter()
-    if cfg["trace"] is not None:
-        with open(cfg["trace"], "w") as tracefh:
-            restored, report = restore.run(f, A, params, omega, trace=tracefh)
-    else:
-        restored, report = restore.run(f, A, params, omega)
+    restored, report = restore.run(f, A, params, omega)
     t_restore = time.perf_counter() - t0
+    if cfg["trace"] is not None:
+        rows = zip(report.res_q, report.res_v, report.res_z, report.objective)
+        Path(cfg["trace"]).write_text("".join(
+            f"{k}\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}\t{energy:.12e}\n"
+            for k, (rq, rv, rz, energy) in enumerate(rows, start=1)))
 
     t0 = time.perf_counter()
     stretched = cluster.stretch(restored)

@@ -16,7 +16,8 @@ The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
 passing in the gradients of g and the primal residuals it formed once per
 iteration, and the shrink thresholds it built once per run. Each update
 overwrites its own variable of the state in place, since the old value is
-dead by the time it runs, and returns it.
+dead by the time it runs, and returns it. ``run`` does no I/O: it returns
+its per-iteration record as a ``ConvergenceReport``.
 
 The frequency-domain denominator is built from delta responses of the very
 same grid stencils used in the spatial domain, so the solve is exact to
@@ -267,7 +268,7 @@ def _require_finite(name: str, a: np.ndarray) -> None:
 
 
 def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
-        omega: np.ndarray, trace=None) -> tuple[np.ndarray, ConvergenceReport]:
+        omega: np.ndarray) -> tuple[np.ndarray, ConvergenceReport]:
     """Iterate the split Bregman scheme from g0 = f until the largest primal
     residual, as a per-pixel RMS, drops to params.epsilon, or max_iter is
     reached.
@@ -280,10 +281,8 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
-    the limit) and g in unconstrained mode. trace, if given, is a writable
-    text stream receiving one tab-separated line per iteration: iteration,
-    res_q, res_v, res_z, the same three residuals again (they are also the
-    dual increments), objective.
+    the limit) and g in unconstrained mode, uncopied since nothing else
+    holds it. report is the per-iteration record; ``run`` writes nothing.
 
     Each iteration computes grad2 g and grad g once and hands them to every
     step that needs them, and forms each primal residual once for both its
@@ -347,9 +346,6 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         res_v.append(rv)
         res_z.append(rz)
         energies.append(energy)
-        if trace is not None:
-            trace.write(f"{k}\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}"
-                        f"\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}\t{energy:.12e}\n")
 
         if max((rq, rv, rz) if params.constrained else (rq, rv)) <= tolerance:
             termination = "tolerance"
@@ -359,5 +355,4 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
         objective=np.array(energies), termination=termination,
     )
-    restored = state.z if params.constrained else state.g
-    return restored.copy(), report
+    return (state.z if params.constrained else state.g), report

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .degrade import _convolve, _transfer_function
+from .degrade import _convolve, _transfer_function, gaussian_kernel
 from .grid import grad
 
 DEFAULT_SIGMA = 1.0
@@ -23,9 +23,9 @@ DEFAULT_CONTRAST = 10.0
 def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     """Periodic Gaussian smoothing, truncated at radius ceil(3*sigma).
 
-    The sampled 1-D Gaussian, normalized to sum 1, is applied along both
-    axes at once as its outer product. sigma = 0 returns a copy of the
-    input unchanged.
+    The taps are the blur's sampled 2-D Gaussian,
+    ``gaussian_kernel(2*r + 1, sigma)`` with r = ceil(3*sigma). sigma = 0
+    returns a copy of the input unchanged.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -33,10 +33,8 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     if sigma == 0:
         return f.copy()
     r = int(np.ceil(3.0 * sigma))
-    x = np.arange(-r, r + 1, dtype=float)
-    taps = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    taps /= taps.sum()
-    return _convolve(f, _transfer_function(np.outer(taps, taps), f.shape))
+    taps = gaussian_kernel(2 * r + 1, sigma).taps
+    return _convolve(f, _transfer_function(taps, f.shape))
 
 
 def edge_weight(f: np.ndarray, sigma: float = DEFAULT_SIGMA,

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from htvseg import cli, imageio, metrics, phantom, restore
+from htvseg import cli, imageio, metrics, phantom, restore, weight
 
 
 def base_cfg(**overrides):
@@ -69,6 +69,8 @@ def test_solver_defaults_come_from_solver_params():
                         ("mu1", "mu1"), ("mu2", "mu2"), ("mu3", "mu3"),
                         ("iota", "iota")]:
         assert defaults[dest] == getattr(params, field)
+    assert defaults["weight_sigma"] == weight.DEFAULT_SIGMA
+    assert defaults["weight_varsigma"] == weight.DEFAULT_CONTRAST
 
 
 def test_parse_phantom_specs():
@@ -195,8 +197,30 @@ def test_pipeline_trace_file(tmp_path):
                    trace=str(trace), out_dir=str(out))
     cli.run_pipeline(cfg, stdout=io.StringIO())
     lines = trace.read_text().strip().splitlines()
-    assert len(lines) >= 1
-    assert all(len(line.split("\t")) == 8 for line in lines)
+    report = dict(line.split(": ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    assert len(lines) == int(report["iterations"])
+    rows = [line.split("\t") for line in lines]
+    assert all(len(row) == 5 for row in rows)
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+    final = [float(report[f"final-res-{block}"]) for block in "qvz"]
+    assert np.allclose([float(x) for x in rows[-1][1:4]], final,
+                       rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--phases", "1"], "--phases must be at least 2, got 1"),
+    (["--phases", "3"], "--phases 3 exceeds the truth's 2 phases"),
+    (["--trace", "missing/trace.tsv"], "--trace directory missing does not exist"),
+])
+def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
+                                                    capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "5",
+                   "--out-dir", "out", *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "clean.rf64").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):
