@@ -18,6 +18,7 @@ Usage examples:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -102,12 +103,15 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file and explicit flags (flags win)."""
+    """Merge defaults, config file and explicit flags (flags win). A NaN or
+    infinite number fails here, naming its flag."""
     config = _read_config(args.config) if args.config else {}
     merged = {}
-    for _key, dest, _typ, default in _OPTIONS:
+    for key, dest, typ, default in _OPTIONS:
         flag_value = getattr(args, dest)
         merged[dest] = flag_value if flag_value is not None else config.get(dest, default)
+        if typ is float and not math.isfinite(merged[dest]):
+            raise ValueError(f"--{key} must be finite, got {merged[dest]}")
     return merged
 
 
@@ -185,6 +189,13 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         raise ValueError(f"--phases {cfg['phases']} exceeds the truth's {truth.max()} phases")
 
     A, kernel = _parse_degrade(cfg["degrade"], clean.shape)
+    params = restore.SolverParams(
+        lam=cfg["lam"], gamma=cfg["gamma"], mu1=cfg["mu1"], mu2=cfg["mu2"],
+        mu3=cfg["mu3"], iota=cfg["iota"], epsilon=cfg["eps"],
+        max_iter=cfg["max_iter"], constrained=not cfg["unconstrained"])
+    for dest in ("weight_sigma", "weight_varsigma"):
+        if cfg[dest] < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {cfg[dest]}")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     # The trace is written after the solve; a missing directory fails now.
@@ -199,10 +210,6 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     t_degrade = time.perf_counter() - t0
 
     omega = weight.edge_weight(f, cfg["weight_sigma"], cfg["weight_varsigma"])
-    params = restore.SolverParams(
-        lam=cfg["lam"], gamma=cfg["gamma"], mu1=cfg["mu1"], mu2=cfg["mu2"],
-        mu3=cfg["mu3"], iota=cfg["iota"], epsilon=cfg["eps"],
-        max_iter=cfg["max_iter"], constrained=not cfg["unconstrained"])
 
     t0 = time.perf_counter()
     restored, report = restore.run(f, A, params, omega)
@@ -263,6 +270,10 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         f"final-res-q: {_fmt(float(report.res_q[-1]))}",
         f"final-res-v: {_fmt(float(report.res_v[-1]))}",
         f"final-res-z: {_fmt(float(report.res_z[-1]))}",
+        f"final-res-dual: {_fmt(float(report.res_dual[-1]))}",
+        f"final-mu1: {_fmt(float(report.mu[-1, 0]))}",
+        f"final-mu2: {_fmt(float(report.mu[-1, 1]))}",
+        f"final-mu3: {_fmt(float(report.mu[-1, 2]))}",
         f"centers: {_fmt_seq(km.centers)}",
         f"wcss: {_fmt(km.wcss)}",
         f"thresholds: {_fmt_seq(labeling.thresholds)}",

@@ -11,10 +11,20 @@ frequency domain, shrinks q and v in closed form, projects z onto the box,
 then accumulates the residuals into the duals. Unconstrained mode drops
 z, d and the mu3 coupling entirely.
 
+The penalties mu1, mu2, mu3 of SolverParams are starting values. Every
+BALANCE_EVERY iterations ``run`` balances each block's penalty against its
+residuals (Boyd et al. 2011, sec. 3.4.1, with the scale-free relative
+residuals of Wohlberg 2017, arXiv:1704.06209): a block whose relative
+primal residual dominates its relative dual residual gets a larger mu, and
+the reverse. The scaled duals are rescaled with their mu, so the unscaled
+multipliers stay the same: mu changes the path to the minimizer, not the
+minimizer.
+
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
-``update_duals``) are the whole iteration: ``run`` calls them in order,
-passing in the gradients of g and the primal residuals it formed once per
-iteration, and the shrink thresholds it built once per run. Each update
+``update_duals``, ``balance_penalties``) are the whole iteration: ``run``
+calls them in order, passing in the gradients of g and the primal
+residuals it formed once per iteration, and the shrink thresholds and the
+g-solve's symbol it rebuilds only when a penalty changes. Each update
 overwrites its own variable of the state in place, since the old value is
 dead by the time it runs, and returns it. ``run`` does no I/O: it returns
 its per-iteration record as a ``ConvergenceReport``.
@@ -28,8 +38,10 @@ half-spectrum.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,10 +50,22 @@ from .degrade import LinearOperatorA, apply as apply_A, apply_adjoint
 
 SHRINK_ZERO_TOL = 1e-15
 
+# Residual balancing: every BALANCE_EVERY-th iteration a block's mu is
+# multiplied (divided) by BALANCE_FACTOR when its relative primal (dual)
+# residual exceeds BALANCE_RATIO times the other, staying within
+# BALANCE_SPAN of its starting value either way. The bound keeps a block
+# whose dual residual has nothing to be relative to, such as the box under
+# an inactive constraint, from halving its mu down to 0.
+BALANCE_EVERY = 5
+BALANCE_RATIO = 3.0
+BALANCE_FACTOR = 2.0
+BALANCE_SPAN = 2.0 ** 10
+
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Weights, penalties and loop controls for the split Bregman solver."""
+    """Weights, penalties and loop controls for the split Bregman solver.
+    mu1, mu2 and mu3 are the penalties ``run`` starts from."""
 
     lam: float
     gamma: float
@@ -54,6 +78,12 @@ class SolverParams:
     constrained: bool = True
 
     def __post_init__(self):
+        for name in ("lam", "gamma", "mu1", "mu2", "mu3", "iota", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("lam and gamma must be >= 0")
         if self.mu1 <= 0 or self.mu2 <= 0 or self.mu3 <= 0:
@@ -82,15 +112,20 @@ class SolverState:
 @dataclass
 class ConvergenceReport:
     """Per-iteration diagnostics: the raw l2 norms of the primal residuals
-    grad2 g - q, grad g - v and g - z (the duals ascend by these residuals,
-    so they are also the sizes of the dual steps), the objective of g, and
-    why the loop stopped: "tolerance" when the largest residual norm, divided
-    by sqrt(m*n), reached params.epsilon, else "max_iter". Unconstrained runs
+    grad2 g - q, grad g - v and g - z, the raw l2 norm of the dual residual
+    s = mu1 div2(dq) - mu2 div(dv) + mu3 dz (d is the change of q, v, z
+    over the iteration; NaN on iterations where s was not evaluated), the
+    penalties (mu1, mu2, mu3) the iteration ran with, shape
+    (iterations, 3), the objective of g, and why the loop stopped:
+    "tolerance" when the largest of the residual norms, divided by
+    sqrt(m*n), reached params.epsilon, else "max_iter". Unconstrained runs
     report NaN for res_z."""
 
     res_q: np.ndarray = field(default_factory=lambda: np.empty(0))
     res_v: np.ndarray = field(default_factory=lambda: np.empty(0))
     res_z: np.ndarray = field(default_factory=lambda: np.empty(0))
+    res_dual: np.ndarray = field(default_factory=lambda: np.empty(0))
+    mu: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     objective: np.ndarray = field(default_factory=lambda: np.empty(0))
     termination: str = ""
 
@@ -121,20 +156,27 @@ def _operator_symbol(op, shape) -> np.ndarray:
     """Half-spectrum symbol of a periodic stencil via its delta response."""
     delta = np.zeros(shape)
     delta[0, 0] = 1.0
-    return np.real(np.fft.rfft2(op(delta)))
+    return np.fft.rfft2(op(delta)).real.copy()
 
 
-def g_denominator(A: LinearOperatorA, params: SolverParams) -> np.ndarray:
+def _laplacian_symbols(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum symbols (L1, L2) of div2 grad2 and div grad."""
+    return (_operator_symbol(lambda u: grid.div2(grid.grad2(u)), shape),
+            _operator_symbol(lambda u: grid.div(grid.grad(u)), shape))
+
+
+def g_denominator(A: LinearOperatorA, params: SolverParams,
+                  laplacians: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
     """Composite symbol D = |Ahat|^2 + mu1*F(div2 grad2) - mu2*F(div grad)
     (+ mu3 in constrained mode) on the half-spectrum that ``np.fft.rfft2``
     returns, shape (m, n//2 + 1). Every term is the symbol of a self-adjoint
     operator, so D is real and symmetric and the half determines the rest.
     Bounded below by mu3 (by 0 off the zero frequency in unconstrained
     mode): div2 grad2 is positive semidefinite and div grad negative
-    semidefinite."""
-    shape = A.shape
-    L1 = _operator_symbol(lambda u: grid.div2(grid.grad2(u)), shape)
-    L2 = _operator_symbol(lambda u: grid.div(grid.grad(u)), shape)
+    semidefinite. ``laplacians`` is the pair of symbols of div2 grad2 and
+    div grad, which do not depend on mu; it is built here when not given."""
+    L1, L2 = _laplacian_symbols(A.shape) if laplacians is None else laplacians
     D = A.gain_half() + params.mu1 * L1 - params.mu2 * L2
     if params.constrained:
         D = D + params.mu3
@@ -240,6 +282,75 @@ def update_duals(state: SolverState, res_q: np.ndarray | None = None,
     return state.b, state.c, state.d
 
 
+def dual_residual(state: SolverState, params: SolverParams,
+                  A: LinearOperatorA, f: np.ndarray,
+                  adjoint_f: np.ndarray | None = None,
+                  div2_b: np.ndarray | None = None,
+                  div_c: np.ndarray | None = None) -> np.ndarray:
+    """Dual residual of the iteration that just ended, from the optimality
+    of its g-solve:
+
+        mu1 div2(dq) - mu2 div(dv) + mu3 dz
+            = A*(f - A g) - mu1 div2 b + mu2 div c - mu3 d,
+
+    where dq, dv, dz are the changes of q, v, z over the iteration and
+    b, c, d the duals after :func:`update_duals`. The right side needs no
+    copy of the old q, v or z. ``params`` must hold the penalties the
+    g-solve ran with, and the duals must not have been rescaled since.
+    ``adjoint_f`` is A* f, ``div2_b`` is div2 b and ``div_c`` is div c;
+    each is computed here if not given. The mu3 term is constrained mode
+    only."""
+    if adjoint_f is None:
+        adjoint_f = apply_adjoint(A, f)
+    if div2_b is None:
+        div2_b = grid.div2(state.b)
+    if div_c is None:
+        div_c = grid.div(state.c)
+    s = adjoint_f - apply_adjoint(A, apply_A(A, state.g))
+    s -= params.mu1 * div2_b
+    s += params.mu2 * div_c
+    if params.constrained:
+        s -= params.mu3 * state.d
+    return s
+
+
+def balance_penalties(state: SolverState, params: SolverParams,
+                      start: SolverParams, primal, dual) -> SolverParams:
+    """Residual balancing of the penalties, one block at a time.
+
+    ``primal`` and ``dual`` hold the relative primal and dual residuals of
+    the blocks q, v, z: |K g - a| / max(|K g|, |a|) and
+    |K^T da| / |K^T y|, where K is grad2, grad or the identity, a the
+    block's auxiliary, da its change over the iteration and y its scaled
+    dual. When a block's primal residual exceeds BALANCE_RATIO times its
+    dual residual, its mu is multiplied by BALANCE_FACTOR and its scaled
+    dual (b, c or d, in place) divided by it; when the dual residual
+    dominates, the reverse. mu times the scaled dual, the multiplier, is
+    unchanged. A mu that would leave [mu0 / BALANCE_SPAN, mu0 *
+    BALANCE_SPAN], mu0 being its value in ``start``, stays as it is, and so
+    does its dual. Unconstrained runs balance q and v only.
+
+    Returns ``params`` with the new penalties, or ``params`` itself when no
+    penalty changed."""
+    mus = [params.mu1, params.mu2, params.mu3]
+    starts = (start.mu1, start.mu2, start.mu3)
+    duals = [state.b, state.c, state.d]
+    for i in range(3 if params.constrained else 2):
+        if primal[i] > BALANCE_RATIO * dual[i]:
+            factor = BALANCE_FACTOR
+        elif dual[i] > BALANCE_RATIO * primal[i]:
+            factor = 1.0 / BALANCE_FACTOR
+        else:
+            continue
+        mu = mus[i] * factor
+        if starts[i] / BALANCE_SPAN <= mu <= starts[i] * BALANCE_SPAN:
+            mus[i] = mu
+            duals[i] /= factor
+    if mus == [params.mu1, params.mu2, params.mu3]:
+        return params
+    return replace(params, mu1=mus[0], mu2=mus[1], mu3=mus[2])
+
+
 def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
               params: SolverParams, omega: np.ndarray,
               grad2_u: np.ndarray | None = None,
@@ -267,17 +378,63 @@ def _require_finite(name: str, a: np.ndarray) -> None:
                          f"{'' if bad == 1 else 's'} (NaN or inf)")
 
 
+def _relative(num: float, den: float) -> float:
+    """num / den for norms, with 0/0 read as 0 and num/0 as inf."""
+    if num == 0.0:
+        return 0.0
+    return num / den if den > 0.0 else math.inf
+
+
+def _change_norm(after: np.ndarray, before: np.ndarray) -> float:
+    """|after - before|, formed in ``before``."""
+    return grid.norm_l2(np.subtract(after, before, out=before))
+
+
+def _balance_residuals(state: SolverState, params: SolverParams,
+                       A: LinearOperatorA, f: np.ndarray,
+                       adjoint_f: np.ndarray, raw, sizes, steps
+                       ) -> tuple[float, tuple, tuple]:
+    """Residuals of a balancing iteration, after its dual update: the raw
+    norm of the dual residual s (by :func:`dual_residual`), and the blocks'
+    relative primal and dual residuals as :func:`balance_penalties` takes
+    them. ``raw`` holds the raw primal residual norms, ``sizes`` |grad2 g|,
+    |grad g|, |g| and ``steps`` |div2(dq)|, |div(dv)|, |dz|."""
+    div2_b = grid.div2(state.b)
+    div_c = grid.div(state.c)
+    s = dual_residual(state, params, A, f, adjoint_f, div2_b, div_c)
+    scales = [grid.norm_l2(div2_b), grid.norm_l2(div_c)]
+    auxiliaries = [grid.norm_l2(state.q), grid.norm_l2(state.v)]
+    if params.constrained:
+        scales.append(grid.norm_l2(state.d))
+        auxiliaries.append(grid.norm_l2(state.z))
+    primal = tuple(_relative(r, max(size, aux))
+                   for r, size, aux in zip(raw, sizes, auxiliaries))
+    dual = tuple(map(_relative, steps, scales))
+    return grid.norm_l2(s), primal, dual
+
+
 def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         omega: np.ndarray) -> tuple[np.ndarray, ConvergenceReport]:
-    """Iterate the split Bregman scheme from g0 = f until the largest primal
-    residual, as a per-pixel RMS, drops to params.epsilon, or max_iter is
-    reached.
+    """Iterate the split Bregman scheme from g0 = f, balancing the
+    penalties, until the primal and the dual residual, as per-pixel RMS
+    values, are both at most params.epsilon, or max_iter is reached.
 
-    The test is max(|grad2 g - q|, |grad g - v|, |g - z|) <= epsilon *
-    sqrt(m*n) on the raw l2 norms (|g - z| only in constrained mode). The
-    scaling makes the rule independent of the image size: a periodic image
-    tiled k times stops at the same iteration. A residual that stays exactly
-    0, such as |g - z| under an inactive box, neither blocks nor trips it.
+    The test is max(|grad2 g - q|, |grad g - v|, |g - z|, |s|) <= epsilon *
+    sqrt(m*n) on the raw l2 norms (|g - z| only in constrained mode), where
+    s = mu1 div2(dq) - mu2 div(dv) + mu3 dz is the dual residual: the change
+    of q, v, z over the iteration, mapped back onto g. The scaling makes
+    the rule independent of the image size: a periodic image tiled k times
+    stops at the same iteration. A residual that stays exactly 0, such as
+    |g - z| under an inactive box, neither blocks nor trips it. s is
+    evaluated only on balancing iterations and on the first iteration
+    whose primal residuals pass, so only those iterations can stop the run.
+
+    Every BALANCE_EVERY-th iteration but the last allowed one is a
+    balancing iteration: it maps q and v onto the grid (div2 q, div v) and
+    copies z before their updates, forms each block's relative residuals,
+    calls :func:`balance_penalties`, and rebuilds the g-solve's symbol and
+    the shrink thresholds when a penalty changed. params.mu1..3 are the
+    starting penalties. s is always taken from :func:`dual_residual`.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
@@ -286,9 +443,9 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
 
     Each iteration computes grad2 g and grad g once and hands them to every
     step that needs them, and forms each primal residual once for both its
-    norm and the dual update. A* f, the g-solve's symbol and the shrink
-    thresholds are computed once per run. Non-finite pixels in f or omega
-    raise ValueError up front.
+    norm and the dual update. A* f and the symbols of div2 grad2 and div
+    grad are computed once per run. Non-finite pixels in f or omega raise
+    ValueError up front.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -305,28 +462,53 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
                       "the minimizer may not be unique", RuntimeWarning)
 
     state = init_state(f, params)
-    denom = g_denominator(A, params)
+    start = params
+    laplacians = _laplacian_symbols(A.shape)
     adjoint_f = apply_adjoint(A, f)
     one_minus_omega = 1.0 - omega
-    q_threshold = params.lam * one_minus_omega / params.mu1
-    v_threshold = params.gamma * omega / params.mu2
     tolerance = params.epsilon * np.sqrt(f.size)
 
-    res_q, res_v, res_z = [], [], []
-    energies = []
+    def penalty_terms(params):
+        """The g-solve's symbol and the q and v shrink thresholds."""
+        return (g_denominator(A, params, laplacians),
+                params.lam * one_minus_omega / params.mu1,
+                params.gamma * omega / params.mu2)
+
+    denom, q_threshold, v_threshold = penalty_terms(params)
+    res_q, res_v, res_z, res_dual = [], [], [], []
+    mus, energies = [], []
     termination = "max_iter"
+    primal_passed = False
 
     for k in range(1, params.max_iter + 1):
+        balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
         state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
         grad2_g = grid.grad2(state.g)
         grad_g = grid.grad(state.g)
+        # A balancing iteration brackets each update with K^T of its
+        # variable (div2 q, div v, z), so that the one extra array alive
+        # during an update is a plane, not a copy of q or v.
+        if balancing:
+            sizes = (grid.norm_l2(grad2_g), grid.norm_l2(grad_g),
+                     grid.norm_l2(state.g))
+            before = grid.div2(state.q)
         update_q(state, params, omega, grad2_g, q_threshold)
+        if balancing:
+            steps = [_change_norm(grid.div2(state.q), before)]
+            before = grid.div(state.v)
         update_v(state, params, omega, grad_g, v_threshold)
+        if balancing:
+            steps.append(_change_norm(grid.div(state.v), before))
+            before = state.z.copy() if params.constrained else None
         if params.constrained:
             update_z(state, params)
+            if balancing:
+                steps.append(_change_norm(state.z, before))
+        if balancing:
+            del before
         energy = objective(state.g, f, A, params, omega, grad2_g, grad_g,
                            one_minus_omega)
 
@@ -342,17 +524,34 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         update_duals(state, r_q, r_v, r_z)
         del grad2_g, grad_g, r_q, r_v, r_z
 
+        primal_pass = max((rq, rv, rz) if params.constrained else (rq, rv)) <= tolerance
+        rs = np.nan
+        if balancing:
+            rs, primal_rel, dual_rel = _balance_residuals(
+                state, params, A, f, adjoint_f, (rq, rv, rz), sizes, steps)
+        elif primal_pass and not primal_passed:
+            rs = grid.norm_l2(dual_residual(state, params, A, f, adjoint_f))
+        primal_passed = primal_passed or primal_pass
+
         res_q.append(rq)
         res_v.append(rv)
         res_z.append(rz)
+        res_dual.append(rs)
+        mus.append((params.mu1, params.mu2, params.mu3))
         energies.append(energy)
 
-        if max((rq, rv, rz) if params.constrained else (rq, rv)) <= tolerance:
+        if primal_pass and rs <= tolerance:
             termination = "tolerance"
             break
+        if balancing:
+            balanced = balance_penalties(state, params, start, primal_rel, dual_rel)
+            if balanced is not params:
+                params = balanced
+                denom, q_threshold, v_threshold = penalty_terms(params)
 
     report = ConvergenceReport(
         res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
+        res_dual=np.array(res_dual), mu=np.array(mus).reshape(-1, 3),
         objective=np.array(energies), termination=termination,
     )
     return (state.z if params.constrained else state.g), report

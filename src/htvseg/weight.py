@@ -27,8 +27,8 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     ``gaussian_kernel(2*r + 1, sigma)`` with r = ceil(3*sigma). sigma = 0
     returns a copy of the input unchanged.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     f = np.asarray(f, dtype=float)
     if sigma == 0:
         return f.copy()
@@ -40,8 +40,8 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
 def edge_weight(f: np.ndarray, sigma: float = DEFAULT_SIGMA,
                 contrast: float = DEFAULT_CONTRAST) -> np.ndarray:
     """Edge-indicator field w = 1 / (1 + contrast * |grad f_sigma|^2), in (0, 1]."""
-    if contrast < 0:
-        raise ValueError(f"contrast must be >= 0, got {contrast}")
+    if not 0 <= contrast < np.inf:
+        raise ValueError(f"contrast must be finite and >= 0, got {contrast}")
     fs = gaussian_smooth(f, sigma)
     p = grad(fs)
     mag2 = p[..., 0] ** 2 + p[..., 1] ** 2

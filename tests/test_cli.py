@@ -212,6 +212,9 @@ def test_pipeline_trace_file(tmp_path):
     (["--phases", "1"], "--phases must be at least 2, got 1"),
     (["--phases", "3"], "--phases 3 exceeds the truth's 2 phases"),
     (["--trace", "missing/trace.tsv"], "--trace directory missing does not exist"),
+    (["--eps", "nan"], "--eps must be finite, got nan"),
+    (["--weight-sigma", "-1"], "--weight-sigma must be >= 0, got -1.0"),
+    (["--weight-varsigma", "-1"], "--weight-varsigma must be >= 0, got -1.0"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):
@@ -258,3 +261,18 @@ def test_main_reports_same_run_twice_identically(tmp_path, capsys):
     ra = (tmp_path / "a" / "report.txt").read_bytes()
     rb = (tmp_path / "b" / "report.txt").read_bytes()
     assert ra == rb
+
+
+def test_report_records_dual_residual_and_final_penalties(tmp_path):
+    out = tmp_path / "out"
+    cfg = base_cfg(phantom="two,disk,24,24,0.2,0.8", noise_var=0.02, seed=5,
+                   out_dir=str(out))
+    cli.run_pipeline(cfg, stdout=io.StringIO())
+    report = dict(line.split(": ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    assert report["termination"] == "tolerance"
+    # the run stops on an iteration whose dual residual was evaluated
+    assert 0.0 <= float(report["final-res-dual"]) <= cfg["eps"] * 24
+    for i in (1, 2, 3):
+        ratio = float(report[f"final-mu{i}"]) / cfg[f"mu{i}"]
+        assert ratio == 2.0 ** round(np.log2(ratio))

@@ -1,6 +1,8 @@
 """Split Bregman solver: dense-solve and residual oracles for the g-step,
 prox oracle for the shrinkages, telescoping duals, run() behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -250,7 +252,10 @@ def test_run_stop_does_not_depend_on_image_size():
 
 def test_run_inactive_box_stops_by_tolerance():
     """An image strictly inside (0, 1) never meets the box: |g - z| stays
-    exactly 0 and the other residuals alone decide the stop."""
+    exactly 0 and the other residuals alone decide the stop. The dual
+    residual is evaluated on balancing iterations and on the first iteration
+    whose primal residuals pass, and the run stops at the first evaluated
+    iteration where both pass."""
     rng = np.random.default_rng(4)
     i, j = np.ogrid[:32, :32]
     f = 0.5 + 0.2 * np.sin(i / 5.0) * np.cos(j / 7.0) + rng.normal(0, 0.02, (32, 32))
@@ -261,9 +266,14 @@ def test_run_inactive_box_stops_by_tolerance():
     assert np.all(report.res_z == 0.0)
     assert report.termination == "tolerance"
     assert 1 < report.iterations < params.max_iter
-    worst = np.maximum(report.res_q, report.res_v)
     tolerance = params.epsilon * np.sqrt(f.size)
-    assert worst[-1] <= tolerance < worst[-2]
+    primal = np.maximum(report.res_q, report.res_v) <= tolerance
+    k = np.arange(1, report.iterations + 1)
+    first_pass = k == k[primal][0]
+    assert np.array_equal(~np.isnan(report.res_dual),
+                          (k % restore.BALANCE_EVERY == 0) | first_pass)
+    both = primal & (report.res_dual <= tolerance)
+    assert both[-1] and not both[:-1].any()
 
 
 def test_solve_g_consistent_couplings_reproduce_f():
@@ -355,12 +365,22 @@ def test_run_rejects_non_finite_input(name, bad):
         restore.run(f, LinearOperatorA.identity(f.shape), params, omega)
 
 
+def relative(num, den):
+    return 0.0 if num == 0.0 else (num / den if den > 0.0 else np.inf)
+
+
 def reference_loop(f, A, params, omega):
     """The iteration as public step functions called with their defaults,
-    so that each recomputes the gradients, A* f and the symbol it needs."""
+    so that each recomputes the gradients, A* f and the symbol it needs;
+    every BALANCE_EVERY-th iteration but the last, the relative residuals
+    are formed here from full copies of q, v, z and handed to
+    ``balance_penalties``."""
+    start = params
     state = restore.init_state(f, params)
-    res, energies = [], []
-    for _ in range(params.max_iter):
+    res, energies, mus, dual_norms = [], [], [], []
+    for k in range(1, params.max_iter + 1):
+        previous = (state.q.copy(), state.v.copy(),
+                    state.z.copy() if params.constrained else None)
         state.g = restore.solve_g(state, params, A, f)
         state.q = restore.update_q(state, params, omega)
         state.v = restore.update_v(state, params, omega)
@@ -371,8 +391,28 @@ def reference_loop(f, A, params, omega):
                     grid.norm_l2(state.g - state.z) if params.constrained else np.nan))
         state.b, state.c, state.d = restore.update_duals(state)
         energies.append(restore.objective(state.g, f, A, params, omega))
+        mus.append((params.mu1, params.mu2, params.mu3))
+        dual_norms.append(np.nan)
+        if k % restore.BALANCE_EVERY or k == params.max_iter:
+            continue
+        blocks = [(grid.grad2(state.g), state.q, grid.div2(state.q - previous[0]),
+                   grid.div2(state.b)),
+                  (grid.grad(state.g), state.v, grid.div(state.v - previous[1]),
+                   grid.div(state.c))]
+        if params.constrained:
+            blocks.append((state.g, state.z, state.z - previous[2], state.d))
+        primal = [relative(grid.norm_l2(kg - aux),
+                           max(grid.norm_l2(kg), grid.norm_l2(aux)))
+                  for kg, aux, _, _ in blocks]
+        dual = [relative(grid.norm_l2(step), grid.norm_l2(scale))
+                for _, _, step, scale in blocks]
+        s = sum(mu * step for mu, (_, _, step, _) in
+                zip((params.mu1, -params.mu2, params.mu3), blocks))
+        dual_norms[-1] = grid.norm_l2(s)
+        params = restore.balance_penalties(state, params, start, primal, dual)
     restored = state.z if params.constrained else state.g
-    return restored, np.array(res), np.array(energies)
+    return (restored, np.array(res), np.array(energies), np.array(mus),
+            np.array(dual_norms))
 
 
 @pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
@@ -384,16 +424,91 @@ def test_run_matches_step_function_loop(blur, constrained, shape):
     A = (LinearOperatorA.identity(shape) if blur == "none" else
          LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
     omega = rng.uniform(0.1, 1.0, size=shape)
-    # epsilon far below reach, so both sides run all max_iter iterations
-    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=12,
+    # epsilon far below reach, so both sides run all max_iter iterations,
+    # which hold three balancing iterations
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=17,
                           constrained=constrained)
     g, report = restore.run(f, A, params, omega)
-    g_ref, res_ref, energy_ref = reference_loop(f, A, params, omega)
+    g_ref, res_ref, energy_ref, mu_ref, dual_ref = reference_loop(
+        f, A, params, omega)
     assert report.iterations == params.max_iter
+    assert np.array_equal(report.mu, mu_ref)
+    assert np.allclose(report.res_dual, dual_ref, rtol=1e-10, atol=0.0,
+                       equal_nan=True)
+    assert len(np.unique(mu_ref, axis=0)) > 1   # the penalties did move
     assert np.max(np.abs(g - g_ref)) <= 1e-12
     got = np.stack((report.res_q, report.res_v, report.res_z), axis=-1)
     assert np.allclose(got, res_ref, rtol=0.0, atol=1e-12, equal_nan=True)
     assert np.max(np.abs(report.objective - energy_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+def test_dual_residual_matches_difference_form(blur):
+    """The stationarity form of s equals mu1 div2(dq) - mu2 div(dv) + mu3 dz,
+    also right after the penalties and the scaled duals were rebalanced."""
+    shape = (14, 15)
+    rng = np.random.default_rng(19)
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    start = params = SolverParams(lam=0.1, gamma=0.8)
+    state = restore.init_state(f, params)
+    for k in range(8):
+        q, v, z = state.q.copy(), state.v.copy(), state.z.copy()
+        state.g = restore.solve_g(state, params, A, f)
+        state.q = restore.update_q(state, params, omega)
+        state.v = restore.update_v(state, params, omega)
+        state.z = restore.update_z(state, params)
+        state.b, state.c, state.d = restore.update_duals(state)
+        expected = (params.mu1 * grid.div2(state.q - q)
+                    - params.mu2 * grid.div(state.v - v) + params.mu3 * (state.z - z))
+        got = restore.dual_residual(state, params, A, f)
+        assert grid.norm_l2(got - expected) <= 1e-10 * grid.norm_l2(expected)
+        # move every penalty, up on even iterations and down on odd ones
+        up = k % 2 == 0
+        params = restore.balance_penalties(state, params, start,
+                                           (1.0, 1.0, 1.0) if up else (0.0,) * 3,
+                                           (0.0,) * 3 if up else (1.0, 1.0, 1.0))
+        assert params.mu1 == (2.0 if up else 1.0)
+
+
+def test_balance_penalties_rescales_duals_within_span():
+    f = np.random.default_rng(20).uniform(0.0, 1.0, size=(6, 6))
+    start = SolverParams(lam=0.1, gamma=0.5, mu1=4.0, mu2=1.0, mu3=2.0)
+    state = restore.init_state(f, start)
+    state.b += 1.0
+    state.c += 1.0
+    state.d += 1.0
+    # q: primal dominates, v: balanced, z: dual dominates
+    params = restore.balance_penalties(state, start, start, (0.4, 0.2, 0.0),
+                                       (0.1, 0.1, np.inf))
+    assert (params.mu1, params.mu2, params.mu3) == (8.0, 1.0, 1.0)
+    assert np.all(state.b == 0.5) and np.all(state.c == 1.0) and np.all(state.d == 2.0)
+    # at the span's edge a block keeps its mu and its dual
+    edge = dataclasses.replace(start, mu1=4.0 * restore.BALANCE_SPAN)
+    assert restore.balance_penalties(state, edge, start, (1.0, 0.0, 0.0),
+                                     (0.0, 0.0, 0.0)) is edge
+    assert np.all(state.b == 0.5)
+
+
+def test_run_inactive_box_keeps_mu3_within_span():
+    """Criterion 4's run: the box never binds, so the z block has no dual to
+    be relative to and its dual residual always dominates. mu3 halves down
+    to mu3 / BALANCE_SPAN and stays there, and the run still ends by
+    tolerance."""
+    ph = make_two_phase(64, 64, "disk", 0.2, 0.8, radius=20.0)
+    f = add_gaussian_noise(ph.image, 0.02, seed=7)
+    params = SolverParams(lam=0.1, gamma=1.95, mu1=50.0, mu2=200.0, mu3=1.0,
+                          epsilon=1e-6, max_iter=2000)
+    _, report = restore.run(f, LinearOperatorA.identity(f.shape), params,
+                            edge_weight(f, 1.0, 10.0))
+    assert report.termination == "tolerance"
+    mu3 = report.mu[:, 2]
+    assert np.all(np.diff(mu3) <= 0.0)
+    assert mu3.min() == mu3[-1] == params.mu3 / restore.BALANCE_SPAN
+    low = report.mu[:, :2] / (params.mu1, params.mu2)
+    assert 1.0 / restore.BALANCE_SPAN <= low.min() <= low.max() <= restore.BALANCE_SPAN
 
 
 @pytest.mark.parametrize("blur,transforms", [("none", 2), ("gaussian,5,5", 4)])
@@ -427,20 +542,30 @@ def test_run_computes_each_stencil_once_per_iteration(monkeypatch, blur, transfo
         restore.run(f, A, params, omega)
         return dict(calls)
 
-    few, many = count(2), count(7)
-    per_it = {name: (many[name] - few[name]) / 5 for name in calls}
+    # Iterations 3 and 4 are plain; iterations 5 and 6 hold one balancing
+    # iteration, which adds div2 and div of q and v before and after their
+    # updates and of the duals b and c, and, with blur, the two transform
+    # pairs of A* A g in the dual residual.
+    few, many, balanced = count(2), count(4), count(6)
+    per_it = {name: (many[name] - few[name]) / 2 for name in calls}
     assert per_it == {"grad2": 1, "grad": 1, "div2": 1, "div": 1, "fft2": 0,
                       "ifft2": 0, "rfft2": transforms / 2,
                       "irfft2": transforms / 2}
-    assert many["fft2"] == many["ifft2"] == 0
+    extra = {name: balanced[name] - many[name] - 2 * per_it[name]
+             for name in calls}
+    blurred = 0 if blur == "none" else 2
+    assert extra == {"grad2": 0, "grad": 0, "div2": 3, "div": 3, "fft2": 0,
+                     "ifft2": 0, "rfft2": blurred, "irfft2": blurred}
+    assert balanced["fft2"] == balanced["ifft2"] == 0
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(lam=-0.1, gamma=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(lam=0.1, gamma=0.1, mu2=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(lam=0.1, gamma=0.1, epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(lam=0.1, gamma=0.1, max_iter=0)
+    """Out-of-range and non-finite values fail at construction, naming the
+    field, before any solve could start."""
+    for field, value in [("lam", -0.1), ("mu2", 0.0), ("epsilon", 0.0),
+                         ("max_iter", 0), ("lam", np.nan), ("gamma", np.inf),
+                         ("mu1", np.nan), ("mu2", np.nan), ("mu3", -np.inf),
+                         ("iota", np.nan), ("epsilon", np.nan),
+                         ("max_iter", 2.5)]:
+        with pytest.raises(ValueError, match=field):
+            SolverParams(**{"lam": 0.1, "gamma": 0.1, field: value})

@@ -84,3 +84,15 @@ def test_range_and_contrast_monotonicity():
     assert np.all(w2 <= w1)
     with pytest.raises(ValueError):
         edge_weight(f, contrast=-1.0)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_smooth_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        gaussian_smooth(np.zeros((4, 4)), sigma)
+
+
+@pytest.mark.parametrize("contrast", [np.nan, np.inf, -1.0])
+def test_edge_weight_rejects_bad_contrast(contrast):
+    with pytest.raises(ValueError, match="contrast must be finite and >= 0"):
+        edge_weight(np.zeros((4, 4)), 1.0, contrast)
