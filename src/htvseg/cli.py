@@ -98,7 +98,12 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: {key} must be true/false")
             out[dest] = value.lower() in ("true", "1")
         else:
-            out[dest] = typ(value)
+            try:
+                out[dest] = typ(value)
+            except ValueError:
+                kind = "an int" if typ is int else "a float"
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind}, "
+                                 f"got {value!r}") from None
     return out
 
 
@@ -193,7 +198,7 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         lam=cfg["lam"], gamma=cfg["gamma"], mu1=cfg["mu1"], mu2=cfg["mu2"],
         mu3=cfg["mu3"], iota=cfg["iota"], epsilon=cfg["eps"],
         max_iter=cfg["max_iter"], constrained=not cfg["unconstrained"])
-    for dest in ("weight_sigma", "weight_varsigma"):
+    for dest in ("noise_var", "seed", "weight_sigma", "weight_varsigma"):
         if cfg[dest] < 0:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {cfg[dest]}")
     out_dir = Path(cfg["out_dir"])

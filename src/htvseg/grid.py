@@ -1,25 +1,41 @@
 """Discrete differential operators on a periodic pixel grid.
 
 All operators act on m-by-n scalar fields (float arrays). Vector fields are
-stored channel-last:
+indexed channel-last:
 
     Vec2Field : (m, n, 2)  -- (x, y) first-order gradient components
     Vec4Field : (m, n, 4)  -- (xx, xy, yx, yy) second-order components
 
+but the fields this module makes (``grad``, ``grad2``, ``vector_zeros``) are
+stored planar: one C-contiguous (C, m, n) buffer, handed out as the
+channel-last view ``np.moveaxis(buf, 0, -1)``. Every channel ``p[..., k]``
+is then a contiguous plane, so the stencils, the shrinkage and the norms
+walk memory with unit stride. A ufunc on planar fields alone (``a - b``)
+allocates its result planar too (order "K"), while ``ndarray.copy()``
+without ``order="K"`` makes a transposing channel-last copy. Every
+function here also accepts channel-last input in any layout and returns
+the same values, bit for bit.
+
 "x" is the row axis (axis 0) and "y" the column axis (axis 1). Boundaries
 are periodic, so every difference wraps around and each operator is a
-circulant (circular convolution) on the grid.
+circulant (circular convolution) on the grid. Periodic differences along
+different axes therefore commute: D-x D+y = D+y D-x.
 
 Sign conventions exposed here:
 
     <grad(u),  p> = -<u, div(p)>    (div is minus the adjoint of grad)
     <grad2(u), p> = +<u, div2(p)>   (div2 is exactly the adjoint of grad2)
 
+The adjoints of grad2's XY and YX components are the same operator,
+D-y D+x, so ``div2`` applies it once to ``p_xy + p_yx``: three stencils,
+not four. ``grad2`` keeps all four components, each formed by its own
+composition of differences.
+
 Differences are slice arithmetic on the periodic grid: one subtraction for
 the interior and one for the wrapped end, with no rolled copy. Inner
-products reduce row-major C-ordered buffers with ``np.sum`` and l2 norms
-with ``np.einsum``, each of which fixes a single deterministic summation
-order.
+products reduce row-major C-ordered buffers with ``np.sum``, and l2 norms
+reduce the channel-major (planar) sequence with ``np.einsum``; each fixes a
+single deterministic summation order, whatever the layout of the input.
 """
 
 from __future__ import annotations
@@ -44,21 +60,37 @@ def _ends(ndim: int, axis: int) -> tuple:
             along(slice(None, 1)), along(slice(-1, None)))
 
 
-def diff_forward(u: np.ndarray, axis: int) -> np.ndarray:
-    """Forward difference u[i+1] - u[i] along ``axis``, wrapping at the end."""
+def _planar(alloc, shape, channels: int) -> np.ndarray:
+    """A channel-last view of a new (channels, *shape) buffer from ``alloc``."""
+    return np.moveaxis(alloc((channels, *shape)), 0, -1)
+
+
+def vector_zeros(shape, channels: int) -> np.ndarray:
+    """Zero vector field of shape ``shape + (channels,)``, stored planar."""
+    return _planar(np.zeros, shape, channels)
+
+
+def diff_forward(u: np.ndarray, axis: int, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Forward difference u[i+1] - u[i] along ``axis``, wrapping at the end.
+    Written into ``out`` (which must not overlap u) when given."""
     u = np.asarray(u, dtype=float)
     init, tail, first, last = _ends(u.ndim, axis)
-    out = np.empty(u.shape)
+    if out is None:
+        out = np.empty(u.shape)
     np.subtract(u[tail], u[init], out=out[init])
     np.subtract(u[first], u[last], out=out[last])
     return out
 
 
-def diff_backward(u: np.ndarray, axis: int) -> np.ndarray:
-    """Backward difference u[i] - u[i-1] along ``axis``, wrapping at the start."""
+def diff_backward(u: np.ndarray, axis: int, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """Backward difference u[i] - u[i-1] along ``axis``, wrapping at the start.
+    Written into ``out`` (which must not overlap u) when given."""
     u = np.asarray(u, dtype=float)
     init, tail, first, last = _ends(u.ndim, axis)
-    out = np.empty(u.shape)
+    if out is None:
+        out = np.empty(u.shape)
     np.subtract(u[tail], u[init], out=out[tail])
     np.subtract(u[first], u[last], out=out[first])
     return out
@@ -73,10 +105,13 @@ def grad(u: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    (m, n, 2) array with components (D+x u, D+y u).
+    (m, n, 2) planar array with components (D+x u, D+y u).
     """
     u = np.asarray(u, dtype=float)
-    return np.stack((diff_forward(u, 0), diff_forward(u, 1)), axis=-1)
+    out = _planar(np.empty, u.shape, 2)
+    diff_forward(u, 0, out[..., 0])
+    diff_forward(u, 1, out[..., 1])
+    return out
 
 
 def grad2(u: np.ndarray) -> np.ndarray:
@@ -92,14 +127,15 @@ def grad2(u: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    (m, n, 4) array.
+    (m, n, 4) planar array.
     """
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape + (4,), dtype=float)
-    out[..., XX] = diff_backward(diff_forward(u, 0), 0)
-    out[..., XY] = diff_backward(diff_forward(u, 1), 0)
-    out[..., YX] = diff_forward(diff_backward(u, 0), 1)
-    out[..., YY] = diff_forward(diff_backward(u, 1), 1)
+    out = _planar(np.empty, u.shape, 4)
+    scratch = np.empty(u.shape)
+    diff_backward(diff_forward(u, 0, scratch), 0, out[..., XX])
+    diff_backward(diff_forward(u, 1, scratch), 0, out[..., XY])
+    diff_forward(diff_backward(u, 0, scratch), 1, out[..., YX])
+    diff_forward(diff_backward(u, 1, scratch), 1, out[..., YY])
     return out
 
 
@@ -109,7 +145,9 @@ def div(p: np.ndarray) -> np.ndarray:
     Satisfies <grad(u), p> = -<u, div(p)> for every scalar field u.
     """
     p = np.asarray(p, dtype=float)
-    return diff_backward(p[..., 0], 0) + diff_backward(p[..., 1], 1)
+    out = diff_backward(p[..., 0], 0)
+    out += diff_backward(p[..., 1], 1)
+    return out
 
 
 def div2(p: np.ndarray) -> np.ndarray:
@@ -117,13 +155,16 @@ def div2(p: np.ndarray) -> np.ndarray:
 
     Satisfies <grad2(u), p> = <u, div2(p)> (plus sign) for every u. Each
     term is the adjoint of the matching grad2 component, with forward and
-    backward differences swapped and composition order reversed.
+    backward differences swapped and composition order reversed. The XY
+    and YX adjoints, D-y D+x and D+x D-y, are one operator, so it is
+    applied once, to p_xy + p_yx.
     """
     p = np.asarray(p, dtype=float)
-    out = diff_backward(diff_forward(p[..., XX], 0), 0)
-    out += diff_backward(diff_forward(p[..., XY], 0), 1)
-    out += diff_forward(diff_backward(p[..., YX], 1), 0)
-    out += diff_forward(diff_backward(p[..., YY], 1), 1)
+    scratch = np.empty(p.shape[:-1])
+    out = diff_backward(diff_forward(p[..., XX], 0, scratch), 0)
+    mixed = np.add(p[..., XY], p[..., YX])
+    out += diff_backward(diff_forward(mixed, 0, scratch), 1, mixed)
+    out += diff_forward(diff_backward(p[..., YY], 1, scratch), 1, mixed)
     return out
 
 
@@ -141,9 +182,14 @@ def pixel_magnitude(p: np.ndarray) -> np.ndarray:
 
 
 def norm_l2(a: np.ndarray) -> float:
-    """l2 norm over all entries (pixels and channels alike)."""
-    a = np.asarray(a, dtype=float).ravel()
-    return float(np.sqrt(np.einsum("i,i->", a, a)))
+    """l2 norm over all entries (pixels and channels alike). A 3-D array is
+    a vector field, and its entries are summed channel by channel, so a
+    planar field is read in place, with no copy."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        a = np.moveaxis(a, -1, 0)
+    flat = np.ascontiguousarray(a).ravel()
+    return float(np.sqrt(np.einsum("i,i->", flat, flat)))
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -137,18 +137,17 @@ class ConvergenceReport:
 def init_state(f: np.ndarray, params: SolverParams) -> SolverState:
     """Start from g = f with zero auxiliaries and duals; the box iterate
     starts at the projection of f (the first z-update would produce it from
-    d = 0 anyway)."""
+    d = 0 anyway). The vector fields are planar, as grid makes them."""
     f = np.asarray(f, dtype=float)
-    m, n = f.shape
     constrained = params.constrained
     return SolverState(
         g=f.copy(),
-        q=np.zeros((m, n, 4)),
-        v=np.zeros((m, n, 2)),
+        q=grid.vector_zeros(f.shape, 4),
+        v=grid.vector_zeros(f.shape, 2),
         z=np.clip(f, 0.0, params.iota) if constrained else None,
-        b=np.zeros((m, n, 4)),
-        c=np.zeros((m, n, 2)),
-        d=np.zeros((m, n)) if constrained else None,
+        b=grid.vector_zeros(f.shape, 4),
+        c=grid.vector_zeros(f.shape, 2),
+        d=np.zeros(f.shape) if constrained else None,
     )
 
 

@@ -51,6 +51,18 @@ def test_read_config_rejects_bad_bool(tmp_path):
         cli._read_config(str(path))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("max-iter abc", "max-iter must be an int, got 'abc'"),
+    ("lambda 0.1.2", "lambda must be a float, got '0.1.2'"),
+])
+def test_read_config_names_a_value_that_does_not_convert(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"gamma 2.0\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        cli._read_config(str(path))
+    assert str(err.value) == f"{path}:2: {message}"
+
+
 def test_flag_beats_config_beats_default(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lambda 0.5\ngamma 3.0\n")
@@ -215,6 +227,8 @@ def test_pipeline_trace_file(tmp_path):
     (["--eps", "nan"], "--eps must be finite, got nan"),
     (["--weight-sigma", "-1"], "--weight-sigma must be >= 0, got -1.0"),
     (["--weight-varsigma", "-1"], "--weight-varsigma must be >= 0, got -1.0"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--noise-var", "-1"], "--noise-var must be >= 0, got -1.0"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):

@@ -1,6 +1,8 @@
 """Discrete operator tests: hand-evaluated stencils, adjointness against
 brute-force matrix assembly, norms vs naive summation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,75 @@ def test_norm_l2_and_inner():
     assert abs(grid.norm_l2(a) - naive) < 1e-12
     with pytest.raises(ValueError):
         grid.inner(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def planes_contiguous(p):
+    return all(p[..., k].flags.c_contiguous for k in range(p.shape[-1]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (6, 8)])
+def test_vector_fields_are_planar(shape):
+    """grad, grad2 and vector_zeros hand out channel-last views whose every
+    channel is a C-contiguous plane."""
+    u = np.random.default_rng(1).normal(size=shape)
+    for p, channels in ((grid.grad(u), 2), (grid.grad2(u), 4),
+                        (grid.vector_zeros(shape, 4), 4)):
+        assert p.shape == shape + (channels,)
+        assert planes_contiguous(p)
+        assert not p.flags.c_contiguous or shape == (1, 1)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (6, 8), (1, 9)])
+def test_operators_agree_on_planar_and_channel_last(shape):
+    """Every operator gives bit-identical results on a planar field and on
+    its channel-last copy, and on a strided plane and its contiguous copy."""
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    p2, p4 = grid.vector_zeros(shape, 2), grid.vector_zeros(shape, 4)
+    p2[...] = rng.normal(size=p2.shape)
+    p4[...] = rng.normal(size=p4.shape)
+    for p in (p2, p4):
+        last = np.ascontiguousarray(p)
+        assert last.flags.c_contiguous and not planes_contiguous(last)
+        for op in (grid.pixel_magnitude, grid.norm_l2,
+                   grid.div if p.shape[-1] == 2 else grid.div2):
+            assert np.array_equal(op(p), op(last))
+    strided = np.ascontiguousarray(p4)[..., grid.XY]
+    assert not strided.flags.c_contiguous
+    for op in (grid.grad, grid.grad2):
+        assert np.array_equal(op(strided), op(strided.copy()))
+
+
+def test_norm_l2_reads_planar_field_in_place():
+    p = grid.grad2(np.random.default_rng(2).normal(size=(256, 256)))
+    expected = np.sqrt(sum(np.sum(p[..., k] ** 2) for k in range(4)))
+    tracemalloc.start()
+    try:
+        value = grid.norm_l2(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p[..., 0].nbytes
+    assert abs(value - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (8, 10)])
+def test_div2_matches_four_term_reference(shape):
+    """The one mixed stencil equals the four composed-difference terms, the
+    adjoints of grad2's components, up to rounding."""
+    fwd, bwd = grid.diff_forward, grid.diff_backward
+    p = np.random.default_rng(shape[0]).normal(size=shape + (4,))
+    expected = (bwd(fwd(p[..., grid.XX], 0), 0) + bwd(fwd(p[..., grid.XY], 0), 1)
+                + fwd(bwd(p[..., grid.YX], 1), 0) + fwd(bwd(p[..., grid.YY], 1), 1))
+    got = grid.div2(p)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_div2_reads_only_the_sum_of_the_mixed_channels():
+    p = np.random.default_rng(4).normal(size=(6, 9, 4))
+    swapped = p[..., [grid.XX, grid.YX, grid.XY, grid.YY]]
+    moved = p.copy()
+    moved[..., grid.XY] = p[..., grid.XY] + p[..., grid.YX]
+    moved[..., grid.YX] = 0.0
+    expected = grid.div2(p)
+    assert np.array_equal(grid.div2(swapped), expected)
+    assert np.array_equal(grid.div2(moved), expected)

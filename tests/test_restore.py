@@ -473,6 +473,26 @@ def test_dual_residual_matches_difference_form(blur):
         assert params.mu1 == (2.0 if up else 1.0)
 
 
+def test_state_vector_fields_stay_planar():
+    """init_state allocates q, v, b, c planar and the in-place steps keep
+    them so: every channel is a C-contiguous plane."""
+    shape = (9, 11)
+    rng = np.random.default_rng(21)
+    f = rng.uniform(0.0, 1.0, size=shape)
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    A = LinearOperatorA.identity(shape)
+    params = SolverParams(lam=0.1, gamma=0.8)
+    state = restore.init_state(f, params)
+    for _ in range(2):
+        state.g = restore.solve_g(state, params, A, f)
+        restore.update_q(state, params, omega)
+        restore.update_v(state, params, omega)
+        restore.update_z(state, params)
+        restore.update_duals(state)
+    for p in (state.q, state.v, state.b, state.c):
+        assert all(p[..., k].flags.c_contiguous for k in range(p.shape[-1]))
+
+
 def test_balance_penalties_rescales_duals_within_span():
     f = np.random.default_rng(20).uniform(0.0, 1.0, size=(6, 6))
     start = SolverParams(lam=0.1, gamma=0.5, mu1=4.0, mu2=1.0, mu3=2.0)
