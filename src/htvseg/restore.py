@@ -14,11 +14,12 @@ z, d and the mu3 coupling entirely.
 The penalties mu1, mu2, mu3 of SolverParams are starting values. Every
 BALANCE_EVERY iterations ``run`` balances each block's penalty against its
 residuals (Boyd et al. 2011, sec. 3.4.1, with the scale-free relative
-residuals of Wohlberg 2017, arXiv:1704.06209): a block whose relative
-primal residual dominates its relative dual residual gets a larger mu, and
-the reverse. The scaled duals are rescaled with their mu, so the unscaled
-multipliers stay the same: mu changes the path to the minimizer, not the
-minimizer.
+residuals and the adaptive step of Wohlberg 2017, arXiv:1704.06209): a
+block whose relative primal residual dominates its relative dual residual
+gets a larger mu, and the reverse, by the power of two nearest the square
+root of the ratio of the two. The scaled duals are rescaled with their mu,
+so the unscaled multipliers stay the same: mu changes the path to the
+minimizer, not the minimizer.
 
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
 ``update_duals``, ``balance_penalties``) are the whole iteration: ``run``
@@ -51,14 +52,15 @@ from .degrade import LinearOperatorA, apply as apply_A, apply_adjoint
 SHRINK_ZERO_TOL = 1e-15
 
 # Residual balancing: every BALANCE_EVERY-th iteration a block's mu is
-# multiplied (divided) by BALANCE_FACTOR when its relative primal (dual)
-# residual exceeds BALANCE_RATIO times the other, staying within
+# multiplied (divided) when its relative primal (dual) residual exceeds
+# BALANCE_RATIO times the other, by the power of two nearest the square
+# root of their ratio, at most BALANCE_MAX_FACTOR. mu is held within
 # BALANCE_SPAN of its starting value either way. The bound keeps a block
 # whose dual residual has nothing to be relative to, such as the box under
-# an inactive constraint, from halving its mu down to 0.
+# an inactive constraint, from dividing its mu down to 0.
 BALANCE_EVERY = 5
 BALANCE_RATIO = 3.0
-BALANCE_FACTOR = 2.0
+BALANCE_MAX_FACTOR = 2.0 ** 6
 BALANCE_SPAN = 2.0 ** 10
 
 
@@ -82,18 +84,15 @@ class SolverParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if name in ("lam", "gamma"):
+                if value < 0:
+                    raise ValueError(f"{name} must be >= 0, got {value!r}")
+            elif value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
         if not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError("lam and gamma must be >= 0")
-        if self.mu1 <= 0 or self.mu2 <= 0 or self.mu3 <= 0:
-            raise ValueError("mu1, mu2, mu3 must be > 0")
-        if self.iota <= 0:
-            raise ValueError("iota must be > 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -313,6 +312,17 @@ def dual_residual(state: SolverState, params: SolverParams,
     return s
 
 
+def _balance_step(ratio: float) -> float:
+    """The factor by which balancing moves a mu whose one relative residual
+    is ``ratio`` times the other: 2**k with k = round(log2(ratio) / 2),
+    halves rounded up, that is the power of two nearest sqrt(ratio), and at
+    most BALANCE_MAX_FACTOR; an infinite ratio takes the largest step. A
+    ratio above BALANCE_RATIO = 3 gives k >= 1, so the step is at least 2."""
+    if ratio == math.inf:
+        return BALANCE_MAX_FACTOR
+    return min(2.0 ** math.floor(math.log2(ratio) / 2.0 + 0.5), BALANCE_MAX_FACTOR)
+
+
 def balance_penalties(state: SolverState, params: SolverParams,
                       start: SolverParams, primal, dual) -> SolverParams:
     """Residual balancing of the penalties, one block at a time.
@@ -322,12 +332,14 @@ def balance_penalties(state: SolverState, params: SolverParams,
     |K^T da| / |K^T y|, where K is grad2, grad or the identity, a the
     block's auxiliary, da its change over the iteration and y its scaled
     dual. When a block's primal residual exceeds BALANCE_RATIO times its
-    dual residual, its mu is multiplied by BALANCE_FACTOR and its scaled
-    dual (b, c or d, in place) divided by it; when the dual residual
-    dominates, the reverse. mu times the scaled dual, the multiplier, is
-    unchanged. A mu that would leave [mu0 / BALANCE_SPAN, mu0 *
-    BALANCE_SPAN], mu0 being its value in ``start``, stays as it is, and so
-    does its dual. Unconstrained runs balance q and v only.
+    dual residual, its mu is multiplied by ``_balance_step(primal / dual)``
+    and its scaled dual (b, c or d, in place) divided by it; when the dual
+    residual dominates, the reverse. A mu that would leave [mu0 /
+    BALANCE_SPAN, mu0 * BALANCE_SPAN], mu0 being its value in ``start``, is
+    set to the edge it crossed instead. Every factor is a power of two, so
+    mu times the scaled dual, the multiplier, is unchanged to the bit, and
+    mu stays on the lattice mu0 * 2**j. Unconstrained runs balance q and v
+    only.
 
     Returns ``params`` with the new penalties, or ``params`` itself when no
     penalty changed."""
@@ -336,15 +348,16 @@ def balance_penalties(state: SolverState, params: SolverParams,
     duals = [state.b, state.c, state.d]
     for i in range(3 if params.constrained else 2):
         if primal[i] > BALANCE_RATIO * dual[i]:
-            factor = BALANCE_FACTOR
+            factor = _balance_step(_relative(primal[i], dual[i]))
         elif dual[i] > BALANCE_RATIO * primal[i]:
-            factor = 1.0 / BALANCE_FACTOR
+            factor = 1.0 / _balance_step(_relative(dual[i], primal[i]))
         else:
             continue
-        mu = mus[i] * factor
-        if starts[i] / BALANCE_SPAN <= mu <= starts[i] * BALANCE_SPAN:
+        mu = min(max(mus[i] * factor, starts[i] / BALANCE_SPAN),
+                 starts[i] * BALANCE_SPAN)
+        if mu != mus[i]:
+            duals[i] /= mu / mus[i]
             mus[i] = mu
-            duals[i] /= factor
     if mus == [params.mu1, params.mu2, params.mu3]:
         return params
     return replace(params, mu1=mus[0], mu2=mus[1], mu3=mus[2])

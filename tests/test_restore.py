@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from htvseg import add_gaussian_noise, edge_weight, grid, make_two_phase, restore
+from htvseg import (add_gaussian_noise, edge_weight, grid, make_three_phase,
+                    make_two_phase, restore)
 from htvseg.degrade import (BlurKernel, LinearOperatorA, apply, apply_adjoint,
                             gaussian_kernel)
 from htvseg.restore import SolverParams, SolverState
@@ -433,7 +434,7 @@ def test_run_matches_step_function_loop(blur, constrained, shape):
         f, A, params, omega)
     assert report.iterations == params.max_iter
     assert np.array_equal(report.mu, mu_ref)
-    assert np.allclose(report.res_dual, dual_ref, rtol=1e-10, atol=0.0,
+    assert np.allclose(report.res_dual, dual_ref, rtol=1e-10, atol=1e-12,
                        equal_nan=True)
     assert len(np.unique(mu_ref, axis=0)) > 1   # the penalties did move
     assert np.max(np.abs(g - g_ref)) <= 1e-12
@@ -465,11 +466,12 @@ def test_dual_residual_matches_difference_form(blur):
                     - params.mu2 * grid.div(state.v - v) + params.mu3 * (state.z - z))
         got = restore.dual_residual(state, params, A, f)
         assert grid.norm_l2(got - expected) <= 1e-10 * grid.norm_l2(expected)
-        # move every penalty, up on even iterations and down on odd ones
+        # move every penalty by 2 (ratio 4), up on even iterations and down
+        # on odd ones
         up = k % 2 == 0
         params = restore.balance_penalties(state, params, start,
-                                           (1.0, 1.0, 1.0) if up else (0.0,) * 3,
-                                           (0.0,) * 3 if up else (1.0, 1.0, 1.0))
+                                           (4.0,) * 3 if up else (1.0,) * 3,
+                                           (1.0,) * 3 if up else (4.0,) * 3)
         assert params.mu1 == (2.0 if up else 1.0)
 
 
@@ -500,21 +502,73 @@ def test_balance_penalties_rescales_duals_within_span():
     state.b += 1.0
     state.c += 1.0
     state.d += 1.0
-    # q: primal dominates, v: balanced, z: dual dominates
+    # q: primal dominates by 4, v: balanced, z: dual dominates without bound
     params = restore.balance_penalties(state, start, start, (0.4, 0.2, 0.0),
                                        (0.1, 0.1, np.inf))
-    assert (params.mu1, params.mu2, params.mu3) == (8.0, 1.0, 1.0)
-    assert np.all(state.b == 0.5) and np.all(state.c == 1.0) and np.all(state.d == 2.0)
+    assert (params.mu1, params.mu2, params.mu3) == (8.0, 1.0, 2.0 / 64)
+    assert np.all(state.b == 0.5) and np.all(state.c == 1.0) and np.all(state.d == 64.0)
     # at the span's edge a block keeps its mu and its dual
     edge = dataclasses.replace(start, mu1=4.0 * restore.BALANCE_SPAN)
     assert restore.balance_penalties(state, edge, start, (1.0, 0.0, 0.0),
                                      (0.0, 0.0, 0.0)) is edge
     assert np.all(state.b == 0.5)
+    # a step of 64 that would cross the edge stops at it, and the dual moves
+    # by the same power of two: 4 for q, 1/8 for v
+    near = dataclasses.replace(start, mu1=start.mu1 * restore.BALANCE_SPAN / 4,
+                               mu2=start.mu2 / restore.BALANCE_SPAN * 8)
+    params = restore.balance_penalties(state, near, start, (1.0, 0.0, 0.0),
+                                       (0.0, 1.0, 0.0))
+    assert (params.mu1, params.mu2, params.mu3) == (
+        4.0 * restore.BALANCE_SPAN, 1.0 / restore.BALANCE_SPAN, 2.0)
+    assert np.all(state.b == 0.125) and np.all(state.c == 8.0) and np.all(state.d == 64.0)
+
+
+@pytest.mark.parametrize("ratio,step", [(4.0, 2.0), (100.0, 8.0),
+                                        (1e6, 64.0), (np.inf, 64.0)])
+def test_balance_penalties_steps_by_power_of_two_nearest_root(ratio, step):
+    """A block moves by the power of two nearest sqrt(ratio), at most
+    BALANCE_MAX_FACTOR, up when its primal residual dominates and down when
+    its dual residual does; mu times its scaled dual is unchanged to the
+    bit."""
+    f = np.random.default_rng(22).uniform(0.0, 1.0, size=(5, 6))
+    start = SolverParams(lam=0.1, gamma=0.5, mu1=3.0, mu2=0.7, mu3=1.5)
+    state = make_state(f, start, np.random.default_rng(23))
+    big, small = (1.0, 0.0) if np.isinf(ratio) else (ratio, 1.0)
+    for primal, dual, factor in [((big,) * 3, (small,) * 3, step),
+                                 ((small,) * 3, (big,) * 3, 1.0 / step)]:
+        duals = (state.b, state.c, state.d)
+        before = [mu * y for mu, y in zip((3.0, 0.7, 1.5), duals)]
+        params = restore.balance_penalties(state, start, start, primal, dual)
+        mus = (params.mu1, params.mu2, params.mu3)
+        assert mus == (3.0 * factor, 0.7 * factor, 1.5 * factor)
+        after = [mu * y for mu, y in zip(mus, duals)]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        # undo, so that the dual side starts from the same state
+        assert restore.balance_penalties(state, params, start, dual,
+                                         primal) == start
+
+
+def test_run_deblur_stops_within_iteration_budget():
+    """Regression guard on iterations to stop: a 64^2 three-phase phantom
+    under gaussian,5,5 blur, seeds 1-3. Balancing by a fixed factor 2 took
+    95 + 125 + 60 = 280 iterations, the power of two nearest the root of
+    the residual ratio takes 60 + 80 + 50 = 190. The bound 220 leaves a
+    margin of 30 iterations above 190 and lies 60 below 280."""
+    ph = make_three_phase(64, 64)
+    A = LinearOperatorA.convolution(gaussian_kernel(5, 5.0), ph.image.shape)
+    params = SolverParams(lam=0.1, gamma=1.95, max_iter=300)
+    total = 0
+    for seed in (1, 2, 3):
+        f = add_gaussian_noise(apply(A, ph.image), 0.01, seed)
+        _, report = restore.run(f, A, params, edge_weight(f))
+        assert report.termination == "tolerance"
+        total += report.iterations
+    assert total <= 220
 
 
 def test_run_inactive_box_keeps_mu3_within_span():
     """Criterion 4's run: the box never binds, so the z block has no dual to
-    be relative to and its dual residual always dominates. mu3 halves down
+    be relative to and its dual residual always dominates. mu3 falls
     to mu3 / BALANCE_SPAN and stays there, and the run still ends by
     tolerance."""
     ph = make_two_phase(64, 64, "disk", 0.2, 0.8, radius=20.0)
@@ -581,11 +635,21 @@ def test_run_computes_each_stencil_once_per_iteration(monkeypatch, blur, transfo
 
 def test_params_validation():
     """Out-of-range and non-finite values fail at construction, naming the
-    field, before any solve could start."""
-    for field, value in [("lam", -0.1), ("mu2", 0.0), ("epsilon", 0.0),
-                         ("max_iter", 0), ("lam", np.nan), ("gamma", np.inf),
-                         ("mu1", np.nan), ("mu2", np.nan), ("mu3", -np.inf),
-                         ("iota", np.nan), ("epsilon", np.nan),
-                         ("max_iter", 2.5)]:
+    field and its value, before any solve could start."""
+    for field, value in [("lam", np.nan), ("gamma", np.inf), ("mu1", np.nan),
+                         ("mu2", np.nan), ("mu3", -np.inf), ("iota", np.nan),
+                         ("epsilon", np.nan), ("max_iter", 2.5)]:
         with pytest.raises(ValueError, match=field):
             SolverParams(**{"lam": 0.1, "gamma": 0.1, field: value})
+    for field, value, message in [
+            ("lam", -1.0, "lam must be >= 0, got -1.0"),
+            ("gamma", -0.5, "gamma must be >= 0, got -0.5"),
+            ("mu1", 0.0, "mu1 must be > 0, got 0.0"),
+            ("mu2", 0.0, "mu2 must be > 0, got 0.0"),
+            ("mu3", -2.0, "mu3 must be > 0, got -2.0"),
+            ("iota", 0.0, "iota must be > 0, got 0.0"),
+            ("epsilon", 0.0, "epsilon must be > 0, got 0.0"),
+            ("max_iter", 0, "max_iter must be >= 1, got 0")]:
+        with pytest.raises(ValueError) as info:
+            SolverParams(**{"lam": 0.1, "gamma": 0.1, field: value})
+        assert str(info.value) == message
