@@ -150,12 +150,18 @@ def _parse_degrade(spec: str, shape) -> tuple[LinearOperatorA, object]:
         if parts[0] == "gaussian":
             kernel = gaussian_kernel(int(parts[1]), float(parts[2]))
         elif parts[0] == "motion":
-            kernel = motion_kernel(float(parts[1]), float(parts[2]))
+            length = float(parts[1])
+            # The segment spans >= (length - 1)/sqrt(2) pixels along one
+            # axis; reject it unrasterized when that cannot fit the grid.
+            if (length - 1.0) / math.sqrt(2.0) > max(shape) + 1:
+                raise ValueError(f"motion length {length:g} cannot fit the "
+                                 f"{shape[0]}x{shape[1]} grid")
+            kernel = motion_kernel(length, float(parts[2]))
         else:
             raise ValueError("unknown kind")
+        return LinearOperatorA.convolution(kernel, shape), kernel
     except (IndexError, ValueError) as exc:
         raise ValueError(f"bad degrade spec {spec!r}: {exc}") from exc
-    return LinearOperatorA.convolution(kernel, shape), kernel
 
 
 def _fmt(value) -> str:
@@ -225,6 +231,9 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
             f"{k}\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}\t{energy:.12e}\n"
             for k, (rq, rv, rz, energy) in enumerate(rows, start=1)))
 
+    if restored.min() == restored.max():
+        raise ValueError(f"the restoration is constant ({_fmt(float(restored[0, 0]))}); "
+                         f"there are no {cfg['phases']} phases to separate")
     t0 = time.perf_counter()
     stretched = cluster.stretch(restored)
     km = cluster.kmeans_1d(stretched.ravel(), cfg["phases"])

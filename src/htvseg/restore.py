@@ -28,7 +28,8 @@ residuals it formed once per iteration, and the shrink thresholds and the
 g-solve's symbol it rebuilds only when a penalty changes. Each update
 overwrites its own variable of the state in place, since the old value is
 dead by the time it runs, and returns it. ``run`` does no I/O: it returns
-its per-iteration record as a ``ConvergenceReport``.
+its per-iteration record as a ``ConvergenceReport``. It forms the dual
+residual and the objective only on the iterations that read them.
 
 The frequency-domain denominator is built from delta responses of the very
 same grid stencils used in the spatial domain, so the solve is exact to
@@ -115,7 +116,8 @@ class ConvergenceReport:
     s = mu1 div2(dq) - mu2 div(dv) + mu3 dz (d is the change of q, v, z
     over the iteration; NaN on iterations where s was not evaluated), the
     penalties (mu1, mu2, mu3) the iteration ran with, shape
-    (iterations, 3), the objective of g, and why the loop stopped:
+    (iterations, 3), the objective of g (NaN where it was not evaluated,
+    never on the last iteration), and why the loop stopped:
     "tolerance" when the largest of the residual norms, divided by
     sqrt(m*n), reached params.epsilon, else "max_iter". Unconstrained runs
     report NaN for res_z."""
@@ -212,7 +214,8 @@ def _shrink(h: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     Overwrites h and returns it."""
     mag = grid.pixel_magnitude(h)
     live = mag >= SHRINK_ZERO_TOL
-    scale = np.maximum(mag - threshold, 0.0)
+    scale = mag - threshold
+    np.maximum(scale, 0.0, out=scale)
     np.divide(scale, mag, out=scale, where=live)
     scale[~live] = 0.0
     h *= scale[..., None]
@@ -278,38 +281,6 @@ def update_duals(state: SolverState, res_q: np.ndarray | None = None,
     if state.d is not None:
         state.d += state.g - state.z if res_z is None else res_z
     return state.b, state.c, state.d
-
-
-def dual_residual(state: SolverState, params: SolverParams,
-                  A: LinearOperatorA, f: np.ndarray,
-                  adjoint_f: np.ndarray | None = None,
-                  div2_b: np.ndarray | None = None,
-                  div_c: np.ndarray | None = None) -> np.ndarray:
-    """Dual residual of the iteration that just ended, from the optimality
-    of its g-solve:
-
-        mu1 div2(dq) - mu2 div(dv) + mu3 dz
-            = A*(f - A g) - mu1 div2 b + mu2 div c - mu3 d,
-
-    where dq, dv, dz are the changes of q, v, z over the iteration and
-    b, c, d the duals after :func:`update_duals`. The right side needs no
-    copy of the old q, v or z. ``params`` must hold the penalties the
-    g-solve ran with, and the duals must not have been rescaled since.
-    ``adjoint_f`` is A* f, ``div2_b`` is div2 b and ``div_c`` is div c;
-    each is computed here if not given. The mu3 term is constrained mode
-    only."""
-    if adjoint_f is None:
-        adjoint_f = apply_adjoint(A, f)
-    if div2_b is None:
-        div2_b = grid.div2(state.b)
-    if div_c is None:
-        div_c = grid.div(state.c)
-    s = adjoint_f - apply_adjoint(A, apply_A(A, state.g))
-    s -= params.mu1 * div2_b
-    s += params.mu2 * div_c
-    if params.constrained:
-        s -= params.mu3 * state.d
-    return s
 
 
 def _balance_step(ratio: float) -> float:
@@ -402,19 +373,13 @@ def _change_norm(after: np.ndarray, before: np.ndarray) -> float:
     return grid.norm_l2(np.subtract(after, before, out=before))
 
 
-def _balance_residuals(state: SolverState, params: SolverParams,
-                       A: LinearOperatorA, f: np.ndarray,
-                       adjoint_f: np.ndarray, raw, sizes, steps
-                       ) -> tuple[float, tuple, tuple]:
-    """Residuals of a balancing iteration, after its dual update: the raw
-    norm of the dual residual s (by :func:`dual_residual`), and the blocks'
-    relative primal and dual residuals as :func:`balance_penalties` takes
+def _balance_residuals(state: SolverState, params: SolverParams, raw, sizes,
+                       steps) -> tuple[tuple, tuple]:
+    """The blocks' relative primal and dual residuals of a balancing
+    iteration, after its dual update, as :func:`balance_penalties` takes
     them. ``raw`` holds the raw primal residual norms, ``sizes`` |grad2 g|,
     |grad g|, |g| and ``steps`` |div2(dq)|, |div(dv)|, |dz|."""
-    div2_b = grid.div2(state.b)
-    div_c = grid.div(state.c)
-    s = dual_residual(state, params, A, f, adjoint_f, div2_b, div_c)
-    scales = [grid.norm_l2(div2_b), grid.norm_l2(div_c)]
+    scales = [grid.norm_l2(grid.div2(state.b)), grid.norm_l2(grid.div(state.c))]
     auxiliaries = [grid.norm_l2(state.q), grid.norm_l2(state.v)]
     if params.constrained:
         scales.append(grid.norm_l2(state.d))
@@ -422,7 +387,7 @@ def _balance_residuals(state: SolverState, params: SolverParams,
     primal = tuple(_relative(r, max(size, aux))
                    for r, size, aux in zip(raw, sizes, auxiliaries))
     dual = tuple(map(_relative, steps, scales))
-    return grid.norm_l2(s), primal, dual
+    return primal, dual
 
 
 def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
@@ -437,16 +402,21 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     of q, v, z over the iteration, mapped back onto g. The scaling makes
     the rule independent of the image size: a periodic image tiled k times
     stops at the same iteration. A residual that stays exactly 0, such as
-    |g - z| under an inactive box, neither blocks nor trips it. s is
-    evaluated only on balancing iterations and on the first iteration
-    whose primal residuals pass, so only those iterations can stop the run.
+    |g - z| under an inactive box, neither blocks nor trips it.
+
+    s is evaluated only on balancing iterations, on iteration 1, and on the
+    iteration after the first one whose primal residuals pass, unless that
+    one evaluated s itself; only those iterations can stop the run. Such an
+    iteration brackets each update with K^T of its variable (div2 q, div v,
+    a copy of z), a plane rather than a copy of q or v, and adds each change
+    times the penalty the iteration ran with into s in place.
 
     Every BALANCE_EVERY-th iteration but the last allowed one is a
-    balancing iteration: it maps q and v onto the grid (div2 q, div v) and
-    copies z before their updates, forms each block's relative residuals,
+    balancing iteration: it also forms each block's relative residuals,
     calls :func:`balance_penalties`, and rebuilds the g-solve's symbol and
     the shrink thresholds when a penalty changed. params.mu1..3 are the
-    starting penalties. s is always taken from :func:`dual_residual`.
+    starting penalties. The objective is evaluated on balancing iterations
+    and for the final iterate; report.objective is NaN on the others.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
@@ -456,12 +426,14 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     Each iteration computes grad2 g and grad g once and hands them to every
     step that needs them, and forms each primal residual once for both its
     norm and the dual update. A* f and the symbols of div2 grad2 and div
-    grad are computed once per run. Non-finite pixels in f or omega raise
-    ValueError up front.
+    grad are computed once per run. An image without pixels and non-finite
+    pixels in f or omega raise ValueError up front.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError("observed image must be 2-D")
+    if f.size == 0:
+        raise ValueError(f"observed image of shape {f.shape} has no pixels")
     omega = np.asarray(omega, dtype=float)
     if omega.shape != f.shape:
         raise ValueError(f"weight shape {omega.shape} does not match image {f.shape}")
@@ -491,38 +463,43 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     mus, energies = [], []
     termination = "max_iter"
     primal_passed = False
+    check_at = 1    # the iteration off the balancing schedule that evaluates s
 
     for k in range(1, params.max_iter + 1):
         balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
+        bracketed = balancing or k == check_at
         state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
         grad2_g = grid.grad2(state.g)
         grad_g = grid.grad(state.g)
-        # A balancing iteration brackets each update with K^T of its
-        # variable (div2 q, div v, z), so that the one extra array alive
-        # during an update is a plane, not a copy of q or v.
         if balancing:
             sizes = (grid.norm_l2(grad2_g), grid.norm_l2(grad_g),
                      grid.norm_l2(state.g))
-            before = grid.div2(state.q)
+        if bracketed:
+            s = grid.div2(state.q)
         update_q(state, params, omega, grad2_g, q_threshold)
-        if balancing:
-            steps = [_change_norm(grid.div2(state.q), before)]
+        if bracketed:
+            steps = [_change_norm(grid.div2(state.q), s)]
+            s *= params.mu1
             before = grid.div(state.v)
         update_v(state, params, omega, grad_g, v_threshold)
-        if balancing:
+        if bracketed:
             steps.append(_change_norm(grid.div(state.v), before))
+            s -= np.multiply(before, params.mu2, out=before)
             before = state.z.copy() if params.constrained else None
         if params.constrained:
             update_z(state, params)
-            if balancing:
+            if bracketed:
                 steps.append(_change_norm(state.z, before))
-        if balancing:
-            del before
-        energy = objective(state.g, f, A, params, omega, grad2_g, grad_g,
-                           one_minus_omega)
+                s += np.multiply(before, params.mu3, out=before)
+        rs = np.nan
+        if bracketed:
+            rs = grid.norm_l2(s)
+            del s, before
+        energy = (objective(state.g, f, A, params, omega, grad2_g, grad_g,
+                            one_minus_omega) if balancing else np.nan)
 
         # The residuals overwrite the gradients, which are dead once the
         # energy is taken, so forming them allocates no vector field; all
@@ -537,12 +514,8 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         del grad2_g, grad_g, r_q, r_v, r_z
 
         primal_pass = max((rq, rv, rz) if params.constrained else (rq, rv)) <= tolerance
-        rs = np.nan
-        if balancing:
-            rs, primal_rel, dual_rel = _balance_residuals(
-                state, params, A, f, adjoint_f, (rq, rv, rz), sizes, steps)
-        elif primal_pass and not primal_passed:
-            rs = grid.norm_l2(dual_residual(state, params, A, f, adjoint_f))
+        if primal_pass and not primal_passed and not bracketed:
+            check_at = k + 1
         primal_passed = primal_passed or primal_pass
 
         res_q.append(rq)
@@ -556,11 +529,16 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             termination = "tolerance"
             break
         if balancing:
+            primal_rel, dual_rel = _balance_residuals(
+                state, params, (rq, rv, rz), sizes, steps)
             balanced = balance_penalties(state, params, start, primal_rel, dual_rel)
             if balanced is not params:
                 params = balanced
                 denom, q_threshold, v_threshold = penalty_terms(params)
 
+    if np.isnan(energies[-1]):
+        energies[-1] = objective(state.g, f, A, params, omega,
+                                 one_minus_omega=one_minus_omega)
     report = ConvergenceReport(
         res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
         res_dual=np.array(res_dual), mu=np.array(mus).reshape(-1, 3),

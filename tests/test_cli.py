@@ -229,6 +229,10 @@ def test_pipeline_trace_file(tmp_path):
     (["--weight-varsigma", "-1"], "--weight-varsigma must be >= 0, got -1.0"),
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
     (["--noise-var", "-1"], "--noise-var must be >= 0, got -1.0"),
+    (["--degrade", "motion,1e9,0"],
+     "bad degrade spec 'motion,1e9,0': motion length 1e+09 cannot fit the 16x16 grid"),
+    (["--degrade", "gaussian,17,2"],
+     "bad degrade spec 'gaussian,17,2': kernel (17, 17) larger than grid (16, 16)"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):
@@ -263,6 +267,17 @@ def test_main_rejects_non_finite_input(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "f has 1 non-finite pixel" in capsys.readouterr().err
+
+
+def test_main_names_a_constant_restoration(tmp_path, capsys):
+    """A penalty so large that the restoration is flat leaves nothing to
+    cluster; the error says so instead of k-means' count of values."""
+    rc = cli.main(["--phantom", "two,disk,24,24,0.2,0.8", "--mu2", "1e300",
+                   "--max-iter", "5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "the restoration is constant (0.416666666667)" in err
+    assert "no 2 phases to separate" in err
 
 
 def test_main_reports_same_run_twice_identically(tmp_path, capsys):

@@ -2,6 +2,7 @@
 prox oracle for the shrinkages, telescoping duals, run() behavior."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -254,8 +255,9 @@ def test_run_stop_does_not_depend_on_image_size():
 def test_run_inactive_box_stops_by_tolerance():
     """An image strictly inside (0, 1) never meets the box: |g - z| stays
     exactly 0 and the other residuals alone decide the stop. The dual
-    residual is evaluated on balancing iterations and on the first iteration
-    whose primal residuals pass, and the run stops at the first evaluated
+    residual is evaluated on iteration 1, on balancing iterations and on
+    the iteration after the first one whose primal residuals pass (here
+    not itself an evaluated one), and the run stops at the first evaluated
     iteration where both pass."""
     rng = np.random.default_rng(4)
     i, j = np.ogrid[:32, :32]
@@ -270,11 +272,28 @@ def test_run_inactive_box_stops_by_tolerance():
     tolerance = params.epsilon * np.sqrt(f.size)
     primal = np.maximum(report.res_q, report.res_v) <= tolerance
     k = np.arange(1, report.iterations + 1)
-    first_pass = k == k[primal][0]
+    first_pass = k[primal][0]
+    assert first_pass > 1 and first_pass % restore.BALANCE_EVERY
     assert np.array_equal(~np.isnan(report.res_dual),
-                          (k % restore.BALANCE_EVERY == 0) | first_pass)
+                          (k == 1) | (k % restore.BALANCE_EVERY == 0) | (k == first_pass + 1))
     both = primal & (report.res_dual <= tolerance)
     assert both[-1] and not both[:-1].any()
+
+
+def test_run_first_primal_pass_on_balancing_iteration_adds_no_check():
+    """When the primal residuals first pass on an iteration that evaluates
+    the dual residual anyway, the next iteration does not evaluate it."""
+    f = add_gaussian_noise(make_two_phase(24, 24, "disk", 0.2, 0.8).image, 0.05, seed=1)
+    params = SolverParams(lam=0.1, gamma=1.95)
+    _, report = restore.run(f, LinearOperatorA.identity(f.shape), params,
+                            edge_weight(f))
+    primal = np.maximum.reduce((report.res_q, report.res_v, report.res_z))
+    k = np.arange(1, report.iterations + 1)
+    first_pass = k[primal <= params.epsilon * 24][0]
+    assert first_pass % restore.BALANCE_EVERY == 0
+    assert report.iterations > first_pass + 1
+    assert np.array_equal(~np.isnan(report.res_dual),
+                          (k == 1) | (k % restore.BALANCE_EVERY == 0))
 
 
 def test_solve_g_consistent_couplings_reproduce_f():
@@ -334,7 +353,7 @@ def test_run_is_deterministic():
     g2, r2 = restore.run(f, A, params, omega)
     assert np.array_equal(g1, g2)
     assert np.array_equal(r1.res_q, r2.res_q)
-    assert np.array_equal(r1.objective, r2.objective)
+    assert np.array_equal(r1.objective, r2.objective, equal_nan=True)
 
 
 def test_run_singular_operator_warns():
@@ -356,6 +375,14 @@ def test_run_shape_checks():
         restore.run(np.zeros((5, 4)), A, params, np.ones((5, 4)))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
+def test_run_rejects_image_without_pixels(shape):
+    params = SolverParams(lam=0.1, gamma=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} has no pixels")):
+        restore.run(np.zeros(shape), LinearOperatorA.identity(shape), params,
+                    np.ones(shape))
+
+
 @pytest.mark.parametrize("name,bad", [("f", np.nan), ("omega", np.inf)])
 def test_run_rejects_non_finite_input(name, bad):
     f = np.full((6, 7), 0.5)
@@ -375,10 +402,14 @@ def reference_loop(f, A, params, omega):
     so that each recomputes the gradients, A* f and the symbol it needs;
     every BALANCE_EVERY-th iteration but the last, the relative residuals
     are formed here from full copies of q, v, z and handed to
-    ``balance_penalties``."""
+    ``balance_penalties``. For runs whose primal residuals never pass: the
+    dual residual is evaluated on iteration 1 and on balancing iterations,
+    in the difference form from the copies and in the stationarity form
+    A*(f - A g) - mu1 div2 b + mu2 div c - mu3 d of the g-solve, and the
+    energy on balancing iterations and the last one."""
     start = params
     state = restore.init_state(f, params)
-    res, energies, mus, dual_norms = [], [], [], []
+    res, energies, mus, dual_norms, stationary = [], [], [], [], []
     for k in range(1, params.max_iter + 1):
         previous = (state.q.copy(), state.v.copy(),
                     state.z.copy() if params.constrained else None)
@@ -391,10 +422,13 @@ def reference_loop(f, A, params, omega):
                     grid.norm_l2(grid.grad(state.g) - state.v),
                     grid.norm_l2(state.g - state.z) if params.constrained else np.nan))
         state.b, state.c, state.d = restore.update_duals(state)
-        energies.append(restore.objective(state.g, f, A, params, omega))
+        balancing = k % restore.BALANCE_EVERY == 0 and k < params.max_iter
+        energies.append(restore.objective(state.g, f, A, params, omega)
+                        if balancing or k == params.max_iter else np.nan)
         mus.append((params.mu1, params.mu2, params.mu3))
         dual_norms.append(np.nan)
-        if k % restore.BALANCE_EVERY or k == params.max_iter:
+        stationary.append(np.nan)
+        if not (balancing or k == 1):
             continue
         blocks = [(grid.grad2(state.g), state.q, grid.div2(state.q - previous[0]),
                    grid.div2(state.b)),
@@ -410,10 +444,16 @@ def reference_loop(f, A, params, omega):
         s = sum(mu * step for mu, (_, _, step, _) in
                 zip((params.mu1, -params.mu2, params.mu3), blocks))
         dual_norms[-1] = grid.norm_l2(s)
-        params = restore.balance_penalties(state, params, start, primal, dual)
+        s = (apply_adjoint(A, f - apply(A, state.g))
+             - params.mu1 * grid.div2(state.b) + params.mu2 * grid.div(state.c))
+        if params.constrained:
+            s -= params.mu3 * state.d
+        stationary[-1] = grid.norm_l2(s)
+        if balancing:
+            params = restore.balance_penalties(state, params, start, primal, dual)
     restored = state.z if params.constrained else state.g
     return (restored, np.array(res), np.array(energies), np.array(mus),
-            np.array(dual_norms))
+            np.array(dual_norms), np.array(stationary))
 
 
 @pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
@@ -430,7 +470,7 @@ def test_run_matches_step_function_loop(blur, constrained, shape):
     params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=17,
                           constrained=constrained)
     g, report = restore.run(f, A, params, omega)
-    g_ref, res_ref, energy_ref, mu_ref, dual_ref = reference_loop(
+    g_ref, res_ref, energy_ref, mu_ref, dual_ref, _ = reference_loop(
         f, A, params, omega)
     assert report.iterations == params.max_iter
     assert np.array_equal(report.mu, mu_ref)
@@ -440,39 +480,32 @@ def test_run_matches_step_function_loop(blur, constrained, shape):
     assert np.max(np.abs(g - g_ref)) <= 1e-12
     got = np.stack((report.res_q, report.res_v, report.res_z), axis=-1)
     assert np.allclose(got, res_ref, rtol=0.0, atol=1e-12, equal_nan=True)
-    assert np.max(np.abs(report.objective - energy_ref)) <= 1e-12
+    assert np.allclose(report.objective, energy_ref, rtol=0.0, atol=1e-12,
+                       equal_nan=True)
+    assert not np.isnan(report.objective[-1])
 
 
 @pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
 def test_dual_residual_matches_difference_form(blur):
-    """The stationarity form of s equals mu1 div2(dq) - mu2 div(dv) + mu3 dz,
-    also right after the penalties and the scaled duals were rebalanced."""
+    """run takes s in the difference form mu1 div2(dq) - mu2 div(dv) +
+    mu3 dz; it matches the stationarity form of the g-solve, also on an
+    iteration right after the penalties and the scaled duals were
+    rebalanced."""
     shape = (14, 15)
     rng = np.random.default_rng(19)
     f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
     A = (LinearOperatorA.identity(shape) if blur == "none" else
          LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
     omega = rng.uniform(0.1, 1.0, size=shape)
-    start = params = SolverParams(lam=0.1, gamma=0.8)
-    state = restore.init_state(f, params)
-    for k in range(8):
-        q, v, z = state.q.copy(), state.v.copy(), state.z.copy()
-        state.g = restore.solve_g(state, params, A, f)
-        state.q = restore.update_q(state, params, omega)
-        state.v = restore.update_v(state, params, omega)
-        state.z = restore.update_z(state, params)
-        state.b, state.c, state.d = restore.update_duals(state)
-        expected = (params.mu1 * grid.div2(state.q - q)
-                    - params.mu2 * grid.div(state.v - v) + params.mu3 * (state.z - z))
-        got = restore.dual_residual(state, params, A, f)
-        assert grid.norm_l2(got - expected) <= 1e-10 * grid.norm_l2(expected)
-        # move every penalty by 2 (ratio 4), up on even iterations and down
-        # on odd ones
-        up = k % 2 == 0
-        params = restore.balance_penalties(state, params, start,
-                                           (4.0,) * 3 if up else (1.0,) * 3,
-                                           (1.0,) * 3 if up else (4.0,) * 3)
-        assert params.mu1 == (2.0 if up else 1.0)
+    # s is evaluated on iterations 1, 5 and 10; 5 rebalances
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=11)
+    _, report = restore.run(f, A, params, omega)
+    *_, stationary = reference_loop(f, A, params, omega)
+    assert np.array_equal(np.isnan(report.res_dual), np.isnan(stationary))
+    assert np.count_nonzero(~np.isnan(stationary)) == 3
+    assert not np.array_equal(report.mu[4], report.mu[5])
+    assert np.allclose(report.res_dual, stationary, rtol=1e-10, atol=0.0,
+                       equal_nan=True)
 
 
 def test_state_vector_fields_stay_planar():
@@ -587,8 +620,10 @@ def test_run_inactive_box_keeps_mu3_within_span():
 
 @pytest.mark.parametrize("blur,transforms", [("none", 2), ("gaussian,5,5", 4)])
 def test_run_computes_each_stencil_once_per_iteration(monkeypatch, blur, transforms):
-    """Per iteration: one grad2, grad, div2 and div each, and only the
-    half-spectrum transforms of the g-solve (and of A g, with blur)."""
+    """Per plain iteration: one grad2, grad, div2 and div each, and only the
+    half-spectrum transform pair of the g-solve. ``transforms`` is the count
+    on a balancing iteration, which also evaluates the energy, and with it
+    A g when there is blur."""
     names = {grid: ("grad2", "grad", "div2", "div"),
              np.fft: ("fft2", "ifft2", "rfft2", "irfft2")}
     calls = dict.fromkeys((n for group in names.values() for n in group), 0)
@@ -618,18 +653,18 @@ def test_run_computes_each_stencil_once_per_iteration(monkeypatch, blur, transfo
 
     # Iterations 3 and 4 are plain; iterations 5 and 6 hold one balancing
     # iteration, which adds div2 and div of q and v before and after their
-    # updates and of the duals b and c, and, with blur, the two transform
-    # pairs of A* A g in the dual residual.
+    # updates and of the duals b and c, and, with blur, the transform pair
+    # of A g in the energy. Every count runs iteration 1, which evaluates s,
+    # and the energy of the final iterate.
     few, many, balanced = count(2), count(4), count(6)
     per_it = {name: (many[name] - few[name]) / 2 for name in calls}
     assert per_it == {"grad2": 1, "grad": 1, "div2": 1, "div": 1, "fft2": 0,
-                      "ifft2": 0, "rfft2": transforms / 2,
-                      "irfft2": transforms / 2}
+                      "ifft2": 0, "rfft2": 1, "irfft2": 1}
     extra = {name: balanced[name] - many[name] - 2 * per_it[name]
              for name in calls}
-    blurred = 0 if blur == "none" else 2
+    energy = transforms / 2 - 1
     assert extra == {"grad2": 0, "grad": 0, "div2": 3, "div": 3, "fft2": 0,
-                     "ifft2": 0, "rfft2": blurred, "irfft2": blurred}
+                     "ifft2": 0, "rfft2": energy, "irfft2": energy}
     assert balanced["fft2"] == balanced["ifft2"] == 0
 
 

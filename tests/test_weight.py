@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from htvseg import grid
+from htvseg.degrade import _convolve, _transfer_function, gaussian_kernel
 from htvseg.weight import edge_weight, gaussian_smooth
 
 
@@ -50,6 +51,20 @@ def test_smooth_matches_double_loop_oracle():
     f = rng.normal(size=(9, 8))
     for sigma in (0.5, 1.0, 1.7):
         assert np.max(np.abs(gaussian_smooth(f, sigma) - smooth_oracle(f, sigma))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (9, 8), (24, 24), (13, 40)])
+def test_smooth_matches_two_dimensional_transfer(shape):
+    """The separable transfer function reproduces periodic convolution with
+    the 2-D taps of ``gaussian_kernel`` on the blur's path, whose transfer
+    function is the 2-D transform of the wrapped taps, also where the taps
+    wrap."""
+    f = np.random.default_rng(shape[1]).normal(size=shape)
+    for sigma in (0.5, 1.0, 1.7, 4.0):
+        r = int(np.ceil(3.0 * sigma))
+        taps = gaussian_kernel(2 * r + 1, sigma).taps
+        reference = _convolve(f, _transfer_function(taps, shape))
+        assert np.max(np.abs(gaussian_smooth(f, sigma) - reference)) <= 1e-14
 
 
 def test_smooth_preserves_mass_and_handles_wrap():
