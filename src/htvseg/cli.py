@@ -148,7 +148,12 @@ def _parse_degrade(spec: str, shape) -> tuple[LinearOperatorA, object]:
         return LinearOperatorA.identity(shape), None
     try:
         if parts[0] == "gaussian":
-            kernel = gaussian_kernel(int(parts[1]), float(parts[2]))
+            size = int(parts[1])
+            # The taps are size x size; reject them unbuilt when they
+            # cannot fit the grid.
+            if size > shape[0] or size > shape[1]:
+                raise ValueError(f"kernel {(size, size)} larger than grid {tuple(shape)}")
+            kernel = gaussian_kernel(size, float(parts[2]))
         elif parts[0] == "motion":
             length = float(parts[1])
             # The segment spans >= (length - 1)/sqrt(2) pixels along one

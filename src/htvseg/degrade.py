@@ -76,6 +76,9 @@ def motion_kernel(length: float, theta_deg: float) -> BlurKernel:
     An axis-aligned integer length L therefore yields exactly L taps of
     value 1/L; theta 90 is the transpose of theta 0.
     """
+    for name, value in (("length", length), ("angle", theta_deg)):
+        if not np.isfinite(value):
+            raise ValueError(f"motion {name} must be finite, got {value}")
     if length < 1:
         raise ValueError(f"motion length must be >= 1, got {length}")
     n_samples = int(np.ceil(length))

@@ -21,15 +21,28 @@ root of the ratio of the two. The scaled duals are rescaled with their mu,
 so the unscaled multipliers stay the same: mu changes the path to the
 minimizer, not the minimizer.
 
+From the iteration after the first balancing one, ``run`` over-relaxes
+the split (Boyd et al. 2011, sec. 3.4.3; Eckstein & Bertsekas 1992): each
+block is shrunk or projected around h = alpha K g + (1 - alpha) a_old
+instead of K g, where K is grad2, grad or the identity, a is q, v or z and
+alpha is RELAXATION, and its scaled dual ascends by h - a_new. Since
+y + h = [y + (alpha - 1)(K g - a_old)] + K g, that is the unrelaxed block
+update after a dual step of (alpha - 1)(K g - a_old): ``run`` takes that
+step, in the buffer of a_old, and then calls the unchanged steps. The
+stopping test keeps the unrelaxed primal residuals K g - a_new. Relaxing
+before the penalties were first balanced overshoots, so the first
+BALANCE_EVERY iterations are the plain split Bregman ones.
+
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
-``update_duals``, ``balance_penalties``) are the whole iteration: ``run``
-calls them in order, passing in the gradients of g and the primal
-residuals it formed once per iteration, and the shrink thresholds and the
-g-solve's symbol it rebuilds only when a penalty changes. Each update
-overwrites its own variable of the state in place, since the old value is
-dead by the time it runs, and returns it. ``run`` does no I/O: it returns
-its per-iteration record as a ``ConvergenceReport``. It forms the dual
-residual and the objective only on the iterations that read them.
+``update_duals``, ``balance_penalties``) and the relaxation's dual step
+are the whole iteration: ``run`` calls them in order, passing in the
+gradients of g and the primal residuals it formed once per iteration, and
+the shrink thresholds and the g-solve's symbol it rebuilds only when a
+penalty changes. Each update overwrites its own variable of the state in
+place, since the old value is dead by the time it runs, and returns it.
+``run`` does no I/O: it returns its per-iteration record as a
+``ConvergenceReport``. It forms the dual residual and the objective only
+on the iterations that read them.
 
 The frequency-domain denominator is built from delta responses of the very
 same grid stencils used in the spatial domain, so the solve is exact to
@@ -63,6 +76,12 @@ BALANCE_EVERY = 5
 BALANCE_RATIO = 3.0
 BALANCE_MAX_FACTOR = 2.0 ** 6
 BALANCE_SPAN = 2.0 ** 10
+
+# Over-relaxation: from the iteration after the first balancing one, each
+# block is updated around RELAXATION * K g + (1 - RELAXATION) * a_old
+# instead of K g. Relaxing from iteration 1, with the starting penalties,
+# overshoots: it costs iterations and, on short runs, restoration quality.
+RELAXATION = 1.7
 
 
 @dataclass(frozen=True)
@@ -269,9 +288,12 @@ def update_duals(state: SolverState, res_q: np.ndarray | None = None,
                  res_z: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Dual ascent by the primal residuals, in place: b += grad2 g - q,
-    c += grad g - v, d += g - z (unit step, no relaxation). Returns the
-    state's (b, c, d). ``res_q``, ``res_v`` and ``res_z`` are those three
-    residuals, formed here from the state if not given."""
+    c += grad g - v, d += g - z. Returns the state's (b, c, d). ``res_q``,
+    ``res_v`` and ``res_z`` are those three residuals, formed here from the
+    state if not given. This is the unit step that ends an iteration; an
+    over-relaxed iteration of ``run`` has already added
+    (RELAXATION - 1)(K g - a_old) to each dual before the block's update,
+    so that the two together ascend by the relaxed residual h - a_new."""
     if res_q is None:
         res_q = grid.grad2(state.g) - state.q
     if res_v is None:
@@ -368,6 +390,15 @@ def _relative(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
+def _relax(dual: np.ndarray, auxiliary: np.ndarray, kg: np.ndarray) -> None:
+    """The over-relaxation's share of one block's dual ascent, taken before
+    the block's update: dual += (RELAXATION - 1)(K g - a), formed in the
+    auxiliary a itself, which the update overwrites next."""
+    step = np.subtract(kg, auxiliary, out=auxiliary)
+    step *= RELAXATION - 1.0
+    dual += step
+
+
 def _change_norm(after: np.ndarray, before: np.ndarray) -> float:
     """|after - before|, formed in ``before``."""
     return grid.norm_l2(np.subtract(after, before, out=before))
@@ -417,6 +448,9 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     the shrink thresholds when a penalty changed. params.mu1..3 are the
     starting penalties. The objective is evaluated on balancing iterations
     and for the final iterate; report.objective is NaN on the others.
+    Every iteration after iteration BALANCE_EVERY is over-relaxed by
+    RELAXATION, as the module docstring describes; the residuals it
+    reports and stops on are the unrelaxed ones.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
@@ -468,6 +502,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     for k in range(1, params.max_iter + 1):
         balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
         bracketed = balancing or k == check_at
+        relaxed = k > BALANCE_EVERY
         state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
@@ -479,17 +514,23 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
                      grid.norm_l2(state.g))
         if bracketed:
             s = grid.div2(state.q)
+        if relaxed:
+            _relax(state.b, state.q, grad2_g)
         update_q(state, params, omega, grad2_g, q_threshold)
         if bracketed:
             steps = [_change_norm(grid.div2(state.q), s)]
             s *= params.mu1
             before = grid.div(state.v)
+        if relaxed:
+            _relax(state.c, state.v, grad_g)
         update_v(state, params, omega, grad_g, v_threshold)
         if bracketed:
             steps.append(_change_norm(grid.div(state.v), before))
             s -= np.multiply(before, params.mu2, out=before)
             before = state.z.copy() if params.constrained else None
         if params.constrained:
+            if relaxed:
+                _relax(state.d, state.z, state.g)
             update_z(state, params)
             if bracketed:
                 steps.append(_change_norm(state.z, before))

@@ -233,6 +233,13 @@ def test_pipeline_trace_file(tmp_path):
      "bad degrade spec 'motion,1e9,0': motion length 1e+09 cannot fit the 16x16 grid"),
     (["--degrade", "gaussian,17,2"],
      "bad degrade spec 'gaussian,17,2': kernel (17, 17) larger than grid (16, 16)"),
+    (["--degrade", "gaussian,2000001,1"],
+     "bad degrade spec 'gaussian,2000001,1': kernel (2000001, 2000001) larger "
+     "than grid (16, 16)"),
+    (["--degrade", "motion,5,inf"],
+     "bad degrade spec 'motion,5,inf': motion angle must be finite, got inf"),
+    (["--degrade", "motion,nan,0"],
+     "bad degrade spec 'motion,nan,0': motion length must be finite, got nan"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):

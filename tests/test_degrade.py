@@ -85,6 +85,20 @@ def test_motion_kernel_degenerate_and_axis_aligned():
         motion_kernel(0.5, 0.0)
 
 
+@pytest.mark.parametrize("length,theta,message", [
+    (np.nan, 0.0, "motion length must be finite, got nan"),
+    (np.inf, 0.0, "motion length must be finite, got inf"),
+    (5.0, np.inf, "motion angle must be finite, got inf"),
+    (5.0, -np.nan, "motion angle must be finite, got nan"),
+])
+def test_motion_kernel_rejects_non_finite_spec(length, theta, message):
+    """A non-finite length or angle fails before any arithmetic (np.sin of
+    inf would warn), naming the value."""
+    with pytest.raises(ValueError) as info:
+        motion_kernel(length, theta)
+    assert str(info.value) == message
+
+
 def test_motion_kernel_oblique_invariants():
     for length, theta in [(5, 45.0), (7, 30.0), (4.5, 120.0), (3, 10.0)]:
         k = motion_kernel(length, theta)

@@ -253,12 +253,14 @@ def test_run_stop_does_not_depend_on_image_size():
 
 
 def test_run_inactive_box_stops_by_tolerance():
-    """An image strictly inside (0, 1) never meets the box: |g - z| stays
-    exactly 0 and the other residuals alone decide the stop. The dual
-    residual is evaluated on iteration 1, on balancing iterations and on
-    the iteration after the first one whose primal residuals pass (here
-    not itself an evaluated one), and the run stops at the first evaluated
-    iteration where both pass."""
+    """An image strictly inside (0, 1) never meets the box: |g - z| is
+    exactly 0 through iteration BALANCE_EVERY, and after it z tracks the
+    relaxed point RELAXATION g + (1 - RELAXATION) z_old, so |g - z| is
+    positive and takes part in the stop. The dual residual is evaluated on
+    iteration 1, on balancing iterations and on the iteration after the
+    first one whose primal residuals pass (here not itself an evaluated
+    one), and the run stops at the first evaluated iteration where both
+    pass."""
     rng = np.random.default_rng(4)
     i, j = np.ogrid[:32, :32]
     f = 0.5 + 0.2 * np.sin(i / 5.0) * np.cos(j / 7.0) + rng.normal(0, 0.02, (32, 32))
@@ -266,11 +268,12 @@ def test_run_inactive_box_stops_by_tolerance():
     params = SolverParams(lam=0.1, gamma=0.5)
     _, report = restore.run(f, LinearOperatorA.identity(f.shape), params,
                             edge_weight(f, 1.0, 10.0))
-    assert np.all(report.res_z == 0.0)
+    assert np.all(report.res_z[:restore.BALANCE_EVERY] == 0.0)
+    assert np.all(report.res_z[restore.BALANCE_EVERY:] > 0.0)
     assert report.termination == "tolerance"
-    assert 1 < report.iterations < params.max_iter
+    assert restore.BALANCE_EVERY < report.iterations < params.max_iter
     tolerance = params.epsilon * np.sqrt(f.size)
-    primal = np.maximum(report.res_q, report.res_v) <= tolerance
+    primal = np.maximum.reduce((report.res_q, report.res_v, report.res_z)) <= tolerance
     k = np.arange(1, report.iterations + 1)
     first_pass = k[primal][0]
     assert first_pass > 1 and first_pass % restore.BALANCE_EVERY
@@ -283,13 +286,14 @@ def test_run_inactive_box_stops_by_tolerance():
 def test_run_first_primal_pass_on_balancing_iteration_adds_no_check():
     """When the primal residuals first pass on an iteration that evaluates
     the dual residual anyway, the next iteration does not evaluate it."""
-    f = add_gaussian_noise(make_two_phase(24, 24, "disk", 0.2, 0.8).image, 0.05, seed=1)
+    f = add_gaussian_noise(make_two_phase(24, 24, "disk", 0.2, 0.8).image, 0.1, seed=2)
     params = SolverParams(lam=0.1, gamma=1.95)
     _, report = restore.run(f, LinearOperatorA.identity(f.shape), params,
                             edge_weight(f))
     primal = np.maximum.reduce((report.res_q, report.res_v, report.res_z))
     k = np.arange(1, report.iterations + 1)
     first_pass = k[primal <= params.epsilon * 24][0]
+    assert first_pass > restore.BALANCE_EVERY    # on a relaxed iteration
     assert first_pass % restore.BALANCE_EVERY == 0
     assert report.iterations > first_pass + 1
     assert np.array_equal(~np.isnan(report.res_dual),
@@ -400,13 +404,16 @@ def relative(num, den):
 def reference_loop(f, A, params, omega):
     """The iteration as public step functions called with their defaults,
     so that each recomputes the gradients, A* f and the symbol it needs;
-    every BALANCE_EVERY-th iteration but the last, the relative residuals
+    after iteration BALANCE_EVERY, ``update_duals`` first takes the
+    relaxation's step (RELAXATION - 1)(K g - a_old) of each block. Every
+    BALANCE_EVERY-th iteration but the last, the relative residuals
     are formed here from full copies of q, v, z and handed to
     ``balance_penalties``. For runs whose primal residuals never pass: the
     dual residual is evaluated on iteration 1 and on balancing iterations,
-    in the difference form from the copies and in the stationarity form
-    A*(f - A g) - mu1 div2 b + mu2 div c - mu3 d of the g-solve, and the
-    energy on balancing iterations and the last one."""
+    in the difference form from the copies and in the stationarity form of
+    the g-solve (see ``test_dual_residual_matches_difference_form``), with
+    and without its relaxation term, and the energy on balancing
+    iterations and the last one."""
     start = params
     state = restore.init_state(f, params)
     res, energies, mus, dual_norms, stationary = [], [], [], [], []
@@ -414,6 +421,12 @@ def reference_loop(f, A, params, omega):
         previous = (state.q.copy(), state.v.copy(),
                     state.z.copy() if params.constrained else None)
         state.g = restore.solve_g(state, params, A, f)
+        alpha = restore.RELAXATION if k > restore.BALANCE_EVERY else 1.0
+        if alpha != 1.0:
+            restore.update_duals(
+                state, (alpha - 1.0) * (grid.grad2(state.g) - state.q),
+                (alpha - 1.0) * (grid.grad(state.g) - state.v),
+                (alpha - 1.0) * (state.g - state.z) if params.constrained else None)
         state.q = restore.update_q(state, params, omega)
         state.v = restore.update_v(state, params, omega)
         if params.constrained:
@@ -427,7 +440,7 @@ def reference_loop(f, A, params, omega):
                         if balancing or k == params.max_iter else np.nan)
         mus.append((params.mu1, params.mu2, params.mu3))
         dual_norms.append(np.nan)
-        stationary.append(np.nan)
+        stationary.append((np.nan, np.nan))
         if not (balancing or k == 1):
             continue
         blocks = [(grid.grad2(state.g), state.q, grid.div2(state.q - previous[0]),
@@ -446,9 +459,13 @@ def reference_loop(f, A, params, omega):
         dual_norms[-1] = grid.norm_l2(s)
         s = (apply_adjoint(A, f - apply(A, state.g))
              - params.mu1 * grid.div2(state.b) + params.mu2 * grid.div(state.c))
+        relaxation = (params.mu1 * grid.div2(grid.grad2(state.g) - previous[0])
+                      - params.mu2 * grid.div(grid.grad(state.g) - previous[1]))
         if params.constrained:
             s -= params.mu3 * state.d
-        stationary[-1] = grid.norm_l2(s)
+            relaxation += params.mu3 * (state.g - previous[2])
+        stationary[-1] = (grid.norm_l2(s - (1.0 - alpha) * relaxation),
+                          grid.norm_l2(s))
         if balancing:
             params = restore.balance_penalties(state, params, start, primal, dual)
     restored = state.z if params.constrained else state.g
@@ -466,7 +483,7 @@ def test_run_matches_step_function_loop(blur, constrained, shape):
          LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
     omega = rng.uniform(0.1, 1.0, size=shape)
     # epsilon far below reach, so both sides run all max_iter iterations,
-    # which hold three balancing iterations
+    # which hold three balancing iterations and relax from iteration 6 on
     params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=17,
                           constrained=constrained)
     g, report = restore.run(f, A, params, omega)
@@ -490,22 +507,76 @@ def test_dual_residual_matches_difference_form(blur):
     """run takes s in the difference form mu1 div2(dq) - mu2 div(dv) +
     mu3 dz; it matches the stationarity form of the g-solve, also on an
     iteration right after the penalties and the scaled duals were
-    rebalanced."""
+    rebalanced, and on an over-relaxed one.
+
+    The g-solve makes 0 = A*(f - A g) + mu1 div2(q0 - b0 - grad2 g)
+    + mu2 div(c0 - v0 + grad g) + mu3 (z0 - d0 - g), with q0, b0, ... the
+    values it started from. The block updates end with y = y0 + h - a,
+    h = alpha K g + (1 - alpha) a0, so y0 = y - a + a0 - (1 - alpha)(a0 - K g)
+    for y, a = b, q and d, z, and the same with the signs of div's terms
+    for c, v. Substituting, 0 = A*(f - A g) - mu1 div2 b + mu2 div c - mu3 d
+    - s - (1 - alpha) [mu1 div2(grad2 g - q0) - mu2 div(grad g - v0)
+    + mu3 (g - z0)], so s is the stationarity form less the relaxation
+    term; alpha = 1 on the unrelaxed iterations."""
     shape = (14, 15)
     rng = np.random.default_rng(19)
     f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
     A = (LinearOperatorA.identity(shape) if blur == "none" else
          LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
     omega = rng.uniform(0.1, 1.0, size=shape)
-    # s is evaluated on iterations 1, 5 and 10; 5 rebalances
+    # s is evaluated on iterations 1, 5 and 10; 5 rebalances and 10 is
+    # over-relaxed
     params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=11)
     _, report = restore.run(f, A, params, omega)
-    *_, stationary = reference_loop(f, A, params, omega)
+    *_, forms = reference_loop(f, A, params, omega)
+    stationary, without_relaxation = forms.T
     assert np.array_equal(np.isnan(report.res_dual), np.isnan(stationary))
     assert np.count_nonzero(~np.isnan(stationary)) == 3
     assert not np.array_equal(report.mu[4], report.mu[5])
     assert np.allclose(report.res_dual, stationary, rtol=1e-10, atol=0.0,
                        equal_nan=True)
+    # the relaxation term is 0 through iteration 5 and carries weight on 10
+    assert np.array_equal(stationary[:5], without_relaxation[:5], equal_nan=True)
+    assert not np.isclose(stationary[9], without_relaxation[9], rtol=1e-3)
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+def test_run_is_unrelaxed_through_first_balancing_iteration(blur):
+    """Iterations 1..BALANCE_EVERY are plain split Bregman iterations: a run
+    of max_iter=BALANCE_EVERY is bit-identical to the step loop, which does
+    not relax there, and a longer run records the same residuals on them."""
+    shape = (12, 16)
+    rng = np.random.default_rng(24)
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300,
+                          max_iter=restore.BALANCE_EVERY)
+    g, report = restore.run(f, A, params, omega)
+    g_ref, res_ref, *_ = reference_loop(f, A, params, omega)
+    got = np.stack((report.res_q, report.res_v, report.res_z), axis=-1)
+    assert np.array_equal(g, g_ref)
+    assert np.array_equal(got, res_ref)
+    _, longer = restore.run(f, A, dataclasses.replace(params, max_iter=12), omega)
+    assert np.array_equal(longer.res_q[:restore.BALANCE_EVERY], report.res_q)
+    assert np.array_equal(longer.res_z[:restore.BALANCE_EVERY], report.res_z)
+
+
+def test_relaxation_takes_fewer_iterations(monkeypatch):
+    """On a small noisy disk the relaxed iteration stops sooner than the
+    same run with RELAXATION set to 1, the plain split Bregman iteration."""
+    f = add_gaussian_noise(make_two_phase(48, 48, "disk", 0.2, 0.8).image, 0.1, seed=3)
+    A = LinearOperatorA.identity(f.shape)
+    params = SolverParams(lam=0.1, gamma=1.95)
+    omega = edge_weight(f)
+    _, relaxed = restore.run(f, A, params, omega)
+    monkeypatch.setattr(restore, "RELAXATION", 1.0)
+    _, plain = restore.run(f, A, params, omega)
+    assert relaxed.termination == plain.termination == "tolerance"
+    assert relaxed.iterations < plain.iterations
+    assert np.array_equal(relaxed.res_q[:restore.BALANCE_EVERY],
+                          plain.res_q[:restore.BALANCE_EVERY])
 
 
 def test_state_vector_fields_stay_planar():
