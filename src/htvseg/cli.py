@@ -128,8 +128,7 @@ def _parse_phantom(spec: str):
             c0, c1 = float(parts[4]), float(parts[5])
             extra = float(parts[6]) if len(parts) > 6 else None
             if shape == "bars":
-                return make_two_phase(m, n, shape, c0, c1,
-                                      bar_width=None if extra is None else int(extra))
+                return make_two_phase(m, n, shape, c0, c1, bar_width=extra)
             return make_two_phase(m, n, shape, c0, c1, radius=extra)
         if parts[0] == "three":
             m, n = int(parts[1]), int(parts[2])
@@ -197,6 +196,9 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         in_pipeline = bool(cfg["apply_degrade"])
     if cfg["truth"] is not None:
         truth = imageio.load_labels(cfg["truth"])
+        if truth.min() < 1:
+            raise ValueError(f"--truth {cfg['truth']}: labels must be >= 1, "
+                             f"got {truth.min()}")
         if truth.shape != clean.shape:
             raise ValueError(f"truth shape {truth.shape} does not match image {clean.shape}")
     if cfg["phases"] < 2:

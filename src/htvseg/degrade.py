@@ -60,11 +60,15 @@ def gaussian_kernel(s: int, sigma_g: float) -> BlurKernel:
         raise ValueError(f"kernel size must be odd and >= 1, got {s}")
     if sigma_g <= 0:
         raise ValueError(f"sigma_g must be positive, got {sigma_g}")
-    r = s // 2
-    x = np.arange(-r, r + 1, dtype=float)
-    g1 = np.exp(-(x * x) / (2.0 * sigma_g * sigma_g))
+    g1 = _sampled_gaussian(s // 2, sigma_g)
     taps = np.outer(g1, g1)
     return BlurKernel(taps / taps.sum())
+
+
+def _sampled_gaussian(r: int, sigma: float) -> np.ndarray:
+    """exp(-x^2 / (2 sigma^2)) at the 2r + 1 integers x = -r..r, unnormalized."""
+    x = np.arange(-r, r + 1, dtype=float)
+    return np.exp(-(x * x) / (2.0 * sigma * sigma))
 
 
 def motion_kernel(length: float, theta_deg: float) -> BlurKernel:

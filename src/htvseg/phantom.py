@@ -24,6 +24,11 @@ def _check_size(m: int, n: int):
         raise ValueError(f"phantom size must be at least 2x2, got {m}x{n}")
 
 
+def _check_radius(name: str, radius: float):
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {radius}")
+
+
 def _center_grid(m: int, n: int):
     ci, cj = (m - 1) / 2.0, (n - 1) / 2.0
     ii, jj = np.meshgrid(np.arange(m) - ci, np.arange(n) - cj, indexing="ij")
@@ -32,11 +37,12 @@ def _center_grid(m: int, n: int):
 
 def make_two_phase(m: int, n: int, shape: str = "disk", c0: float = 0.2,
                    c1: float = 0.8, radius: float | None = None,
-                   bar_width: int | None = None) -> Phantom:
+                   bar_width: float | None = None) -> Phantom:
     """Two-constant image: background c0 (label 1), foreground c1 (label 2).
 
     shape is one of 'disk' (centered, radius in pixels), 'bars' (alternating
-    vertical bars of bar_width columns) or 'text' (block-letter strokes).
+    vertical bars of bar_width columns, 1 <= bar_width <= n, truncated to
+    an integer) or 'text' (block-letter strokes).
     """
     _check_size(m, n)
     if not (0.0 <= c0 < c1 <= 1.0):
@@ -45,16 +51,16 @@ def make_two_phase(m: int, n: int, shape: str = "disk", c0: float = 0.2,
     if shape == "disk":
         if radius is None:
             radius = min(m, n) / 3.0
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _check_radius("radius", radius)
         ii, jj = _center_grid(m, n)
         fg = ii * ii + jj * jj < radius * radius
         desc = f"two-phase disk {m}x{n} r={radius:g} c=({c0:g},{c1:g})"
     elif shape == "bars":
         if bar_width is None:
             bar_width = max(2, n // 8)
-        if bar_width < 1:
-            raise ValueError(f"bar_width must be >= 1, got {bar_width}")
+        if not 1 <= bar_width <= n:
+            raise ValueError(f"bar_width must be in [1, {n}], got {bar_width}")
+        bar_width = int(bar_width)
         cols = (np.arange(n) // bar_width) % 2 == 1
         fg = np.broadcast_to(cols, (m, n)).copy()
         desc = f"two-phase bars {m}x{n} w={bar_width} c=({c0:g},{c1:g})"
@@ -86,8 +92,8 @@ def make_three_phase(m: int, n: int, c0: float = 0.1, c1: float = 0.5,
         r_out = 0.35 * min(m, n)
     if r_in is None:
         r_in = 0.15 * min(m, n)
-    if r_out < 0 or r_in < 0:
-        raise ValueError("radii must be >= 0")
+    _check_radius("r_out", r_out)
+    _check_radius("r_in", r_in)
 
     ii, jj = _center_grid(m, n)
     disk = ii * ii + jj * jj < r_out * r_out

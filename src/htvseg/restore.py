@@ -35,11 +35,15 @@ BALANCE_EVERY iterations are the plain split Bregman ones.
 
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
 ``update_duals``, ``balance_penalties``) and the relaxation's dual step
-are the whole iteration: ``run`` calls them in order, passing in the
-gradients of g and the primal residuals it formed once per iteration, and
-the shrink thresholds and the g-solve's symbol it rebuilds only when a
-penalty changes. Each update overwrites its own variable of the state in
-place, since the old value is dead by the time it runs, and returns it.
+are the whole iteration. After the g-solve ``run`` tables the blocks q, v,
+z with their K g, update call, scaled dual, auxiliary, K^T (div2, div, a
+copy) and signed penalty (+mu1, -mu2, +mu3), and one loop over the table
+relaxes, updates and brackets each block alike. The steps get the
+gradients of g and the primal residuals ``run`` formed once per
+iteration, and the shrink thresholds and the g-solve's symbol it rebuilds
+only when a penalty changes. Each update overwrites its own variable of
+the state in place, since the old value is dead by the time it runs, and
+returns it.
 ``run`` does no I/O: it returns its per-iteration record as a
 ``ConvergenceReport``. It forms the dual residual and the objective only
 on the iterations that read them.
@@ -57,6 +61,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -359,19 +364,16 @@ def balance_penalties(state: SolverState, params: SolverParams,
 def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
               params: SolverParams, omega: np.ndarray,
               grad2_u: np.ndarray | None = None,
-              grad_u: np.ndarray | None = None,
-              one_minus_omega: np.ndarray | None = None) -> float:
+              grad_u: np.ndarray | None = None) -> float:
     """Model objective ||f - A u||^2 + lam*|(1-w) grad2 u|_1 + gamma*|w grad u|_1
     (box indicator omitted; the caller knows which iterates are feasible).
-    ``grad2_u`` and ``grad_u`` are the gradients of u and ``one_minus_omega``
-    is 1 - w; each is computed here if not given."""
+    ``grad2_u`` and ``grad_u`` are the gradients of u; each is computed here
+    if not given."""
     r = f - apply_A(A, u)
     data = float(np.sum(r * r))
     p2 = grid.grad2(u) if grad2_u is None else grad2_u
     p1 = grid.grad(u) if grad_u is None else grad_u
-    if one_minus_omega is None:
-        one_minus_omega = 1.0 - omega
-    t2 = float(np.sum(one_minus_omega * grid.pixel_magnitude(p2)))
+    t2 = float(np.sum((1.0 - omega) * grid.pixel_magnitude(p2)))
     t1 = float(np.sum(omega * grid.pixel_magnitude(p1)))
     return data + params.lam * t2 + params.gamma * t1
 
@@ -390,34 +392,40 @@ def _relative(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def _relax(dual: np.ndarray, auxiliary: np.ndarray, kg: np.ndarray) -> None:
-    """The over-relaxation's share of one block's dual ascent, taken before
-    the block's update: dual += (RELAXATION - 1)(K g - a), formed in the
-    auxiliary a itself, which the update overwrites next."""
-    step = np.subtract(kg, auxiliary, out=auxiliary)
-    step *= RELAXATION - 1.0
-    dual += step
+def _update_blocks(blocks, relax: bool, bracket: bool) -> tuple[list, float]:
+    """Update the blocks of the table ``blocks``, one row each: (K g, the
+    update call, the scaled dual y, the auxiliary a, K^T, the signed
+    penalty). With ``relax`` the dual first takes the relaxation's step
+    (RELAXATION - 1)(K g - a), formed in a, which the update overwrites.
+    With ``bracket`` the signed K^T da are summed into s in place. Returns
+    the norms |K^T da| and |s|, or ([], NaN) unbracketed."""
+    steps, s = [], None
+    for kg, update, dual, auxiliary, adjoint, mu in blocks:
+        if bracket:
+            before = adjoint(auxiliary)
+        if relax:
+            np.subtract(kg, auxiliary, out=auxiliary)
+            auxiliary *= RELAXATION - 1.0
+            dual += auxiliary
+        update()
+        if bracket:
+            change = np.subtract(adjoint(auxiliary), before, out=before)
+            steps.append(grid.norm_l2(change))
+            change *= mu
+            s = change if s is None else np.add(s, change, out=s)
+    return steps, (grid.norm_l2(s) if bracket else np.nan)
 
 
-def _change_norm(after: np.ndarray, before: np.ndarray) -> float:
-    """|after - before|, formed in ``before``."""
-    return grid.norm_l2(np.subtract(after, before, out=before))
-
-
-def _balance_residuals(state: SolverState, params: SolverParams, raw, sizes,
-                       steps) -> tuple[tuple, tuple]:
+def _balance_residuals(blocks, raw, sizes, steps) -> tuple[tuple, tuple]:
     """The blocks' relative primal and dual residuals of a balancing
     iteration, after its dual update, as :func:`balance_penalties` takes
-    them. ``raw`` holds the raw primal residual norms, ``sizes`` |grad2 g|,
-    |grad g|, |g| and ``steps`` |div2(dq)|, |div(dv)|, |dz|."""
-    scales = [grid.norm_l2(grid.div2(state.b)), grid.norm_l2(grid.div(state.c))]
-    auxiliaries = [grid.norm_l2(state.q), grid.norm_l2(state.v)]
-    if params.constrained:
-        scales.append(grid.norm_l2(state.d))
-        auxiliaries.append(grid.norm_l2(state.z))
-    primal = tuple(_relative(r, max(size, aux))
-                   for r, size, aux in zip(raw, sizes, auxiliaries))
-    dual = tuple(map(_relative, steps, scales))
+    them, with |a| and |K^T y| read from the table ``blocks``. ``raw`` holds
+    the raw primal residual norms, ``sizes`` |grad2 g|, |grad g|, |g| and
+    ``steps`` |div2(dq)|, |div(dv)|, |dz|."""
+    primal = tuple(_relative(r, max(size, grid.norm_l2(auxiliary)))
+                   for r, size, (_, _, _, auxiliary, _, _) in zip(raw, sizes, blocks))
+    dual = tuple(_relative(step, grid.norm_l2(adjoint(y)))
+                 for step, (_, _, y, _, adjoint, _) in zip(steps, blocks))
     return primal, dual
 
 
@@ -440,7 +448,9 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     one evaluated s itself; only those iterations can stop the run. Such an
     iteration brackets each update with K^T of its variable (div2 q, div v,
     a copy of z), a plane rather than a copy of q or v, and adds each change
-    times the penalty the iteration ran with into s in place.
+    times the signed penalty the iteration ran with into s in place. The
+    block table is rebuilt every iteration, so that its update calls see
+    the current penalties, and freed before the next g-solve.
 
     Every BALANCE_EVERY-th iteration but the last allowed one is a
     balancing iteration: it also forms each block's relative residuals,
@@ -502,7 +512,6 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     for k in range(1, params.max_iter + 1):
         balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
         bracketed = balancing or k == check_at
-        relaxed = k > BALANCE_EVERY
         state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
@@ -512,39 +521,22 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         if balancing:
             sizes = (grid.norm_l2(grad2_g), grid.norm_l2(grad_g),
                      grid.norm_l2(state.g))
-        if bracketed:
-            s = grid.div2(state.q)
-        if relaxed:
-            _relax(state.b, state.q, grad2_g)
-        update_q(state, params, omega, grad2_g, q_threshold)
-        if bracketed:
-            steps = [_change_norm(grid.div2(state.q), s)]
-            s *= params.mu1
-            before = grid.div(state.v)
-        if relaxed:
-            _relax(state.c, state.v, grad_g)
-        update_v(state, params, omega, grad_g, v_threshold)
-        if bracketed:
-            steps.append(_change_norm(grid.div(state.v), before))
-            s -= np.multiply(before, params.mu2, out=before)
-            before = state.z.copy() if params.constrained else None
+        energy = (objective(state.g, f, A, params, omega, grad2_g, grad_g)
+                  if balancing else np.nan)
+
+        blocks = [(grad2_g, partial(update_q, state, params, omega, grad2_g, q_threshold),
+                   state.b, state.q, grid.div2, params.mu1),
+                  (grad_g, partial(update_v, state, params, omega, grad_g, v_threshold),
+                   state.c, state.v, grid.div, -params.mu2)]
         if params.constrained:
-            if relaxed:
-                _relax(state.d, state.z, state.g)
-            update_z(state, params)
-            if bracketed:
-                steps.append(_change_norm(state.z, before))
-                s += np.multiply(before, params.mu3, out=before)
-        rs = np.nan
-        if bracketed:
-            rs = grid.norm_l2(s)
-            del s, before
-        energy = (objective(state.g, f, A, params, omega, grad2_g, grad_g,
-                            one_minus_omega) if balancing else np.nan)
+            blocks.append((state.g, partial(update_z, state, params),
+                           state.d, state.z, np.copy, params.mu3))
+        steps, rs = _update_blocks(blocks, k > BALANCE_EVERY, bracketed)
 
         # The residuals overwrite the gradients, which are dead once the
-        # energy is taken, so forming them allocates no vector field; all
-        # are freed before the next g-solve so its temporaries reuse them.
+        # blocks are updated, so forming them allocates no vector field; all,
+        # and the table, are freed before the next g-solve so that its
+        # temporaries reuse them.
         r_q = np.subtract(grad2_g, state.q, out=grad2_g)
         r_v = np.subtract(grad_g, state.v, out=grad_g)
         r_z = state.g - state.z if params.constrained else None
@@ -566,20 +558,20 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         mus.append((params.mu1, params.mu2, params.mu3))
         energies.append(energy)
 
-        if primal_pass and rs <= tolerance:
-            termination = "tolerance"
-            break
-        if balancing:
-            primal_rel, dual_rel = _balance_residuals(
-                state, params, (rq, rv, rz), sizes, steps)
+        stop = primal_pass and rs <= tolerance
+        if balancing and not stop:
+            primal_rel, dual_rel = _balance_residuals(blocks, (rq, rv, rz), sizes, steps)
             balanced = balance_penalties(state, params, start, primal_rel, dual_rel)
             if balanced is not params:
                 params = balanced
                 denom, q_threshold, v_threshold = penalty_terms(params)
+        del blocks
+        if stop:
+            termination = "tolerance"
+            break
 
     if np.isnan(energies[-1]):
-        energies[-1] = objective(state.g, f, A, params, omega,
-                                 one_minus_omega=one_minus_omega)
+        energies[-1] = objective(state.g, f, A, params, omega)
     report = ConvergenceReport(
         res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
         res_dual=np.array(res_dual), mu=np.array(mus).reshape(-1, 3),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .degrade import _convolve, gaussian_kernel
+from .degrade import _convolve, _sampled_gaussian
 from .grid import grad
 
 DEFAULT_SIGMA = 1.0
@@ -23,11 +23,11 @@ DEFAULT_CONTRAST = 10.0
 def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     """Periodic Gaussian smoothing, truncated at radius ceil(3*sigma).
 
-    The taps are the blur's sampled 2-D Gaussian,
-    ``gaussian_kernel(2*r + 1, sigma)`` with r = ceil(3*sigma), the outer
-    square of their symmetric marginal, so the transfer function is the
-    outer product of two real 1-D transforms. sigma = 0 returns a copy of
-    the input unchanged.
+    The taps are the outer square of the normalized 1-D profile of the
+    blur's sampled Gaussian, r = ceil(3*sigma) taps either side of the
+    center, so the transfer function is the outer product of two real 1-D
+    transforms, and no 2-D taps are built. sigma = 0 returns a copy of the
+    input unchanged.
     """
     if not 0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -35,10 +35,11 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     if sigma == 0:
         return f.copy()
     r = int(np.ceil(3.0 * sigma))
-    marginal = gaussian_kernel(2 * r + 1, sigma).taps.sum(axis=0)
-    # The marginal wrapped onto each axis, center at 0, is even: real DFTs.
+    profile = _sampled_gaussian(r, sigma)
+    profile /= profile.sum()
+    # The profile wrapped onto each axis, center at 0, is even: real DFTs.
     rows, cols = (np.fft.fft(np.bincount((np.arange(2 * r + 1) - r) % size,
-                                         marginal, size)).real
+                                         profile, size)).real
                   for size in f.shape)
     return _convolve(f, np.multiply.outer(rows, cols[: f.shape[1] // 2 + 1]))
 

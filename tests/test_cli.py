@@ -202,6 +202,18 @@ def test_pipeline_truth_shape_mismatch(tmp_path):
         cli.run_pipeline(cfg, stdout=io.StringIO())
 
 
+def test_main_rejects_truth_label_below_one_before_solving(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    labels = np.ones((16, 16), dtype=np.int32)
+    labels[3, 4] = 0
+    imageio.save_labels(labels, tmp_path / "bad.ri32")
+    rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--truth", "bad.ri32",
+                   "--out-dir", "out"])
+    assert rc == 1
+    assert "--truth bad.ri32: labels must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_trace_file(tmp_path):
     out = tmp_path / "out"
     trace = tmp_path / "trace.tsv"
@@ -240,6 +252,12 @@ def test_pipeline_trace_file(tmp_path):
      "bad degrade spec 'motion,5,inf': motion angle must be finite, got inf"),
     (["--degrade", "motion,nan,0"],
      "bad degrade spec 'motion,nan,0': motion length must be finite, got nan"),
+    (["--phantom", "two,disk,24,24,0.2,0.8,nan"],
+     "bad phantom spec 'two,disk,24,24,0.2,0.8,nan': radius must be finite and >= 0, got nan"),
+    (["--phantom", "three,24,24,0.1,0.5,0.9,8,nan"],
+     "bad phantom spec 'three,24,24,0.1,0.5,0.9,8,nan': r_in must be finite and >= 0, got nan"),
+    (["--phantom", "two,bars,24,24,0.2,0.8,1e30"],
+     "bad phantom spec 'two,bars,24,24,0.2,0.8,1e30': bar_width must be in [1, 24], got 1e+30"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):

@@ -103,3 +103,22 @@ def test_three_phase_inner_square_geometry():
 def test_three_phase_degenerate_radii():
     p = phantom.make_three_phase(16, 16, r_out=0.0, r_in=0.0)
     assert np.all(p.truth == 1)
+
+
+@pytest.mark.parametrize("make,kwargs,message", [
+    (phantom.make_two_phase, dict(shape="disk", radius=np.nan),
+     "radius must be finite and >= 0, got nan"),
+    (phantom.make_two_phase, dict(shape="disk", radius=np.inf),
+     "radius must be finite and >= 0, got inf"),
+    (phantom.make_two_phase, dict(shape="bars", bar_width=1e30),
+     "bar_width must be in [1, 24], got 1e+30"),
+    (phantom.make_two_phase, dict(shape="bars", bar_width=np.nan),
+     "bar_width must be in [1, 24], got nan"),
+    (phantom.make_three_phase, dict(r_out=np.nan), "r_out must be finite and >= 0, got nan"),
+    (phantom.make_three_phase, dict(r_out=8.0, r_in=np.nan),
+     "r_in must be finite and >= 0, got nan"),
+])
+def test_phantom_rejects_non_finite_geometry(make, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        make(24, 24, **kwargs)
+    assert message in str(info.value)

@@ -80,6 +80,16 @@ def test_smooth_preserves_mass_and_handles_wrap():
         gaussian_smooth(f, -1.0)
 
 
+def test_smooth_wide_sigma_builds_only_1d_taps():
+    """sigma = 1e5 spans 600001 taps a side: the 2-D square of them would
+    not fit in memory. Wrapped onto 24 pixels the profile is flat to about
+    1e-8, so the result is near the mean, and mass is kept."""
+    f = np.random.default_rng(4).uniform(size=(24, 24))
+    out = gaussian_smooth(f, 1e5)
+    assert out.sum() == pytest.approx(f.sum(), rel=1e-12)
+    assert np.allclose(out, f.mean(), rtol=0.0, atol=1e-6)
+
+
 def test_step_edge_profile():
     f = np.zeros((32, 32))
     f[:, 16:] = 1.0
