@@ -214,6 +214,7 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     for dest in ("noise_var", "seed", "weight_sigma", "weight_varsigma"):
         if cfg[dest] < 0:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {cfg[dest]}")
+    weight.smoothing_radius(cfg["weight_sigma"], "--weight-sigma")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     # The trace is written after the solve; a missing directory fails now.

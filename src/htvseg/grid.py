@@ -168,16 +168,21 @@ def div2(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def pixel_magnitude(p: np.ndarray) -> np.ndarray:
+def pixel_magnitude(p: np.ndarray, scratch: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Per-pixel Euclidean magnitude of a vector field: (m, n) array.
 
     The squares are summed channel by channel, which needs no temporary of
     the vector field's size and is several times faster than a reduction
-    over the short channel axis.
+    over the short channel axis. Each channel's square after the first is
+    formed in ``scratch``, an (m, n) float plane, allocated here when not
+    given; a caller that passes one may reuse it afterwards.
     """
     acc = np.square(p[..., 0])
+    if scratch is None:
+        scratch = np.empty(acc.shape)
     for channel in range(1, p.shape[-1]):
-        acc += np.square(p[..., channel])
+        acc += np.square(p[..., channel], out=scratch)
     return np.sqrt(acc, out=acc)
 
 

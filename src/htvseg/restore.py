@@ -34,16 +34,19 @@ before the penalties were first balanced overshoots, so the first
 BALANCE_EVERY iterations are the plain split Bregman ones.
 
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
-``update_duals``, ``balance_penalties``) and the relaxation's dual step
-are the whole iteration. After the g-solve ``run`` tables the blocks q, v,
-z with their K g, update call, scaled dual, auxiliary, K^T (div2, div, a
-copy) and signed penalty (+mu1, -mu2, +mu3), and one loop over the table
-relaxes, updates and brackets each block alike. The steps get the
-gradients of g and the primal residuals ``run`` formed once per
-iteration, and the shrink thresholds and the g-solve's symbol it rebuilds
-only when a penalty changes. Each update overwrites its own variable of
-the state in place, since the old value is dead by the time it runs, and
-returns it.
+``balance_penalties``), the relaxation's dual step and each block's dual
+ascent by its primal residual are the whole iteration; ``update_duals`` is
+that ascent for all three blocks at once, for callers that step the
+iteration themselves. After the g-solve ``run`` tables the blocks q, v, z
+with their K (grad2, grad, the identity), update call, scaled dual,
+auxiliary, K^T (div2, div, a copy), signed penalty (+mu1, -mu2, +mu3) and
+term of the objective, and one loop over the table forms each block's K g,
+relaxes, updates, ascends the dual and brackets each block alike, freeing
+K g before the next block forms its own. The steps get the gradients of g
+``run`` formed once per iteration, and the shrink thresholds and the
+g-solve's symbol it rebuilds only when a penalty changes. Each update
+overwrites its own variable of the state in place, since the old value is
+dead by the time it runs, and returns it.
 ``run`` does no I/O: it returns its per-iteration record as a
 ``ConvergenceReport``. It forms the dual residual and the objective only
 on the iterations that read them.
@@ -60,8 +63,10 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,20 +230,34 @@ def solve_g(state: SolverState, params: SolverParams, A: LinearOperatorA,
         denom = g_denominator(A, params)
     if adjoint_f is None:
         adjoint_f = apply_adjoint(A, f)
-    rhs = adjoint_f + params.mu1 * grid.div2(state.q - state.b)
-    rhs += params.mu2 * grid.div(state.c - state.v)
+    # The right side accumulates in place, term by term in the order
+    # above: each term is scaled in its own buffer, and adding it into the
+    # sum leaves the sum's bits as a new array would.
+    rhs = grid.div2(state.q - state.b)
+    rhs *= params.mu1
+    rhs += adjoint_f
+    term = grid.div(state.c - state.v)
+    term *= params.mu2
+    rhs += term
     if params.constrained:
-        rhs += params.mu3 * (state.z - state.d)
-    return np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=rhs.shape)
+        term = np.subtract(state.z, state.d, out=term)
+        term *= params.mu3
+        rhs += term
+    del term
+    spectrum = np.fft.rfft2(rhs)
+    spectrum /= denom
+    return np.fft.irfft2(spectrum, s=rhs.shape)
 
 
 def _shrink(h: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Isotropic vector soft-thresholding with a per-pixel threshold:
     h <- max(|h| - t, 0) * h/|h|, with |h| < SHRINK_ZERO_TOL mapped to 0.
-    Overwrites h and returns it."""
-    mag = grid.pixel_magnitude(h)
+    Overwrites h and returns it. The scale shares its plane with the
+    channel squares of |h|."""
+    scale = np.empty(h.shape[:-1])
+    mag = grid.pixel_magnitude(h, scale)
     live = mag >= SHRINK_ZERO_TOL
-    scale = mag - threshold
+    np.subtract(mag, threshold, out=scale)
     np.maximum(scale, 0.0, out=scale)
     np.divide(scale, mag, out=scale, where=live)
     scale[~live] = 0.0
@@ -295,10 +314,11 @@ def update_duals(state: SolverState, res_q: np.ndarray | None = None,
     """Dual ascent by the primal residuals, in place: b += grad2 g - q,
     c += grad g - v, d += g - z. Returns the state's (b, c, d). ``res_q``,
     ``res_v`` and ``res_z`` are those three residuals, formed here from the
-    state if not given. This is the unit step that ends an iteration; an
-    over-relaxed iteration of ``run`` has already added
-    (RELAXATION - 1)(K g - a_old) to each dual before the block's update,
-    so that the two together ascend by the relaxed residual h - a_new."""
+    state if not given. This is the unit step that ends an iteration of the
+    step functions; ``run`` takes it block by block, each right after the
+    block's update, and in an over-relaxed iteration the dual has already
+    taken (RELAXATION - 1)(K g - a_old) before the update, so that the two
+    together ascend by the relaxed residual h - a_new."""
     if res_q is None:
         res_q = grid.grad2(state.g) - state.q
     if res_v is None:
@@ -362,20 +382,32 @@ def balance_penalties(state: SolverState, params: SolverParams,
 
 
 def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
-              params: SolverParams, omega: np.ndarray,
-              grad2_u: np.ndarray | None = None,
-              grad_u: np.ndarray | None = None) -> float:
+              params: SolverParams, omega: np.ndarray) -> float:
     """Model objective ||f - A u||^2 + lam*|(1-w) grad2 u|_1 + gamma*|w grad u|_1
     (box indicator omitted; the caller knows which iterates are feasible).
-    ``grad2_u`` and ``grad_u`` are the gradients of u; each is computed here
-    if not given."""
-    r = f - apply_A(A, u)
-    data = float(np.sum(r * r))
-    p2 = grid.grad2(u) if grad2_u is None else grad2_u
-    p1 = grid.grad(u) if grad_u is None else grad_u
-    t2 = float(np.sum((1.0 - omega) * grid.pixel_magnitude(p2)))
-    t1 = float(np.sum(omega * grid.pixel_magnitude(p1)))
+    Each gradient of u is freed once its term is summed."""
+    data = _data_term(u, f, A)
+    t2 = _tv_term(grid.grad2(u), omega, True)
+    t1 = _tv_term(grid.grad(u), omega, False)
     return data + params.lam * t2 + params.gamma * t1
+
+
+def _data_term(u: np.ndarray, f: np.ndarray, A: LinearOperatorA) -> float:
+    """||f - A u||^2, formed in the buffer of A u."""
+    r = apply_A(A, u)
+    np.subtract(f, r, out=r)
+    return float(np.sum(np.multiply(r, r, out=r)))
+
+
+def _tv_term(p: np.ndarray, omega: np.ndarray, second_order: bool) -> float:
+    """The weighted l1 norm sum(w_p |p|) of the objective, w_p = 1 - w for
+    the second-order gradient and w for the first-order one. The weight
+    takes the plane of the magnitude's channel squares, and the product the
+    magnitude's own plane."""
+    scratch = np.empty(p.shape[:-1])
+    mag = grid.pixel_magnitude(p, scratch)
+    weight = np.subtract(1.0, omega, out=scratch) if second_order else omega
+    return float(np.sum(np.multiply(weight, mag, out=mag)))
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -392,40 +424,74 @@ def _relative(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def _update_blocks(blocks, relax: bool, bracket: bool) -> tuple[list, float]:
-    """Update the blocks of the table ``blocks``, one row each: (K g, the
-    update call, the scaled dual y, the auxiliary a, K^T, the signed
-    penalty). With ``relax`` the dual first takes the relaxation's step
-    (RELAXATION - 1)(K g - a), formed in a, which the update overwrites.
-    With ``bracket`` the signed K^T da are summed into s in place. Returns
-    the norms |K^T da| and |s|, or ([], NaN) unbracketed."""
-    steps, s = [], None
-    for kg, update, dual, auxiliary, adjoint, mu in blocks:
+class _Block(NamedTuple):
+    """One row of ``run``'s per-iteration block table."""
+
+    K: Callable                 # grid.grad2, grid.grad or the identity
+    update: Callable            # the block's update step, given K g
+    dual: np.ndarray            # the scaled dual y: b, c or d
+    auxiliary: np.ndarray       # a: q, v or z
+    adjoint: Callable           # the K^T brackets map a by: div2, div, a copy
+    mu: float                   # the signed penalty K^T da enters s with
+    energy: Callable | None     # the block's term of the objective, from K g
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
+                   balancing: bool) -> tuple[list, list, float, list, list]:
+    """Update the blocks of the table ``blocks`` in turn. Each block forms
+    its K g; with ``relax`` its dual first takes the relaxation's step
+    (RELAXATION - 1)(K g - a), formed in a, which the update overwrites;
+    then it forms its primal residual K g - a in the buffer of K g, adds it
+    to its dual, and frees K g before the next block forms its own. The
+    residual of z, whose K g is g itself, takes a plane of its own. With
+    ``bracket`` the update is bracketed by K^T a, and the signed K^T da are
+    summed into s in place. With ``balancing`` each block records |K g| and
+    its term of the objective.
+
+    Returns the raw primal residual norms, the norms |K^T da| and |s| (or
+    [] and NaN unbracketed), and the norms |K g| and the objective's terms
+    (or [] and [] off balancing)."""
+    raw, steps, sizes, terms, s = [], [], [], [], None
+    for K, update, dual, auxiliary, adjoint, mu, energy in blocks:
         if bracket:
             before = adjoint(auxiliary)
+        kg = K(g)
+        if balancing:
+            sizes.append(grid.norm_l2(kg))
+            if energy is not None:
+                terms.append(energy(kg))
         if relax:
             np.subtract(kg, auxiliary, out=auxiliary)
             auxiliary *= RELAXATION - 1.0
             dual += auxiliary
-        update()
+        update(kg)
+        residual = np.subtract(kg, auxiliary, out=None if kg is g else kg)
+        raw.append(grid.norm_l2(residual))
+        dual += residual
+        del kg, residual
         if bracket:
             change = np.subtract(adjoint(auxiliary), before, out=before)
             steps.append(grid.norm_l2(change))
             change *= mu
             s = change if s is None else np.add(s, change, out=s)
-    return steps, (grid.norm_l2(s) if bracket else np.nan)
+            del before, change
+    return raw, steps, (grid.norm_l2(s) if bracket else np.nan), sizes, terms
 
 
 def _balance_residuals(blocks, raw, sizes, steps) -> tuple[tuple, tuple]:
     """The blocks' relative primal and dual residuals of a balancing
-    iteration, after its dual update, as :func:`balance_penalties` takes
+    iteration, after its dual updates, as :func:`balance_penalties` takes
     them, with |a| and |K^T y| read from the table ``blocks``. ``raw`` holds
     the raw primal residual norms, ``sizes`` |grad2 g|, |grad g|, |g| and
     ``steps`` |div2(dq)|, |div(dv)|, |dz|."""
-    primal = tuple(_relative(r, max(size, grid.norm_l2(auxiliary)))
-                   for r, size, (_, _, _, auxiliary, _, _) in zip(raw, sizes, blocks))
-    dual = tuple(_relative(step, grid.norm_l2(adjoint(y)))
-                 for step, (_, _, y, _, adjoint, _) in zip(steps, blocks))
+    primal = tuple(_relative(r, max(size, grid.norm_l2(block.auxiliary)))
+                   for r, size, block in zip(raw, sizes, blocks))
+    dual = tuple(_relative(step, grid.norm_l2(block.adjoint(block.dual)))
+                 for step, block in zip(steps, blocks))
     return primal, dual
 
 
@@ -450,28 +516,41 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     a copy of z), a plane rather than a copy of q or v, and adds each change
     times the signed penalty the iteration ran with into s in place. The
     block table is rebuilt every iteration, so that its update calls see
-    the current penalties, and freed before the next g-solve.
+    the current penalties.
 
     Every BALANCE_EVERY-th iteration but the last allowed one is a
     balancing iteration: it also forms each block's relative residuals,
     calls :func:`balance_penalties`, and rebuilds the g-solve's symbol and
     the shrink thresholds when a penalty changed. params.mu1..3 are the
-    starting penalties. The objective is evaluated on balancing iterations
-    and for the final iterate; report.objective is NaN on the others.
-    Every iteration after iteration BALANCE_EVERY is over-relaxed by
-    RELAXATION, as the module docstring describes; the residuals it
-    reports and stops on are the unrelaxed ones.
+    starting penalties. The objective is evaluated on balancing iterations,
+    from the data term and each block's K g, and for the final iterate by
+    :func:`objective`; report.objective is NaN on the others. Every
+    iteration after iteration BALANCE_EVERY is over-relaxed by RELAXATION,
+    as the module docstring describes; the residuals it reports and stops
+    on are the unrelaxed ones.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
     the limit) and g in unconstrained mode, uncopied since nothing else
     holds it. report is the per-iteration record; ``run`` writes nothing.
 
-    Each iteration computes grad2 g and grad g once and hands them to every
-    step that needs them, and forms each primal residual once for both its
-    norm and the dual update. A* f and the symbols of div2 grad2 and div
-    grad are computed once per run. An image without pixels and non-finite
-    pixels in f or omega raise ValueError up front.
+    Each iteration computes grad2 g and grad g once. A block's K g lives
+    only through that block's update: it feeds the relaxation, the update
+    and, on balancing iterations, |K g| and the block's energy term, then
+    takes the block's primal residual for its norm and its dual update, and
+    is freed before the next block forms its own, so grad2 g and grad g are
+    never alive together. The working set, in (m, n) float planes, is the
+    15 of the state (g, z, d one each, v and c two, q and b four) and the
+    run's constants (the shrink thresholds, two; the g-solve's symbol and
+    the two Laplacian symbols, half-spectra of about half a plane each; A* f
+    with blur, one, while for the identity it is f itself), plus the
+    transients of the step in hand: at most seven, in the q block (grad2 g,
+    a bracket plane, the shrink's magnitude and scale) and in the g-solve
+    (q - b and div2's three). The state's q, v, duals and the penalty terms
+    are freed before the final iterate's energy. A* f and the
+    symbols of div2 grad2 and div grad are computed once per run. An image
+    without pixels and non-finite pixels in f or omega raise ValueError up
+    front.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -492,14 +571,14 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     state = init_state(f, params)
     start = params
     laplacians = _laplacian_symbols(A.shape)
-    adjoint_f = apply_adjoint(A, f)
-    one_minus_omega = 1.0 - omega
+    # Nothing writes to A* f, so for the identity it is f itself.
+    adjoint_f = f if A.kind == "identity" else apply_adjoint(A, f)
     tolerance = params.epsilon * np.sqrt(f.size)
 
     def penalty_terms(params):
         """The g-solve's symbol and the q and v shrink thresholds."""
         return (g_denominator(A, params, laplacians),
-                params.lam * one_minus_omega / params.mu1,
+                params.lam * (1.0 - omega) / params.mu1,
                 params.gamma * omega / params.mu2)
 
     denom, q_threshold, v_threshold = penalty_terms(params)
@@ -516,37 +595,24 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
-        grad2_g = grid.grad2(state.g)
-        grad_g = grid.grad(state.g)
-        if balancing:
-            sizes = (grid.norm_l2(grad2_g), grid.norm_l2(grad_g),
-                     grid.norm_l2(state.g))
-        energy = (objective(state.g, f, A, params, omega, grad2_g, grad_g)
-                  if balancing else np.nan)
-
-        blocks = [(grad2_g, partial(update_q, state, params, omega, grad2_g, q_threshold),
-                   state.b, state.q, grid.div2, params.mu1),
-                  (grad_g, partial(update_v, state, params, omega, grad_g, v_threshold),
-                   state.c, state.v, grid.div, -params.mu2)]
+        blocks = [_Block(grid.grad2, partial(update_q, state, params, omega,
+                                             threshold=q_threshold),
+                         state.b, state.q, grid.div2, params.mu1,
+                         partial(_tv_term, omega=omega, second_order=True)),
+                  _Block(grid.grad, partial(update_v, state, params, omega,
+                                            threshold=v_threshold),
+                         state.c, state.v, grid.div, -params.mu2,
+                         partial(_tv_term, omega=omega, second_order=False))]
         if params.constrained:
-            blocks.append((state.g, partial(update_z, state, params),
-                           state.d, state.z, np.copy, params.mu3))
-        steps, rs = _update_blocks(blocks, k > BALANCE_EVERY, bracketed)
+            blocks.append(_Block(_identity, lambda _: update_z(state, params),
+                                 state.d, state.z, np.copy, params.mu3, None))
+        raw, steps, rs, sizes, terms = _update_blocks(
+            blocks, state.g, k > BALANCE_EVERY, bracketed, balancing)
+        rq, rv, rz = raw if params.constrained else (*raw, np.nan)
+        energy = (_data_term(state.g, f, A) + params.lam * terms[0]
+                  + params.gamma * terms[1] if balancing else np.nan)
 
-        # The residuals overwrite the gradients, which are dead once the
-        # blocks are updated, so forming them allocates no vector field; all,
-        # and the table, are freed before the next g-solve so that its
-        # temporaries reuse them.
-        r_q = np.subtract(grad2_g, state.q, out=grad2_g)
-        r_v = np.subtract(grad_g, state.v, out=grad_g)
-        r_z = state.g - state.z if params.constrained else None
-        rq = grid.norm_l2(r_q)
-        rv = grid.norm_l2(r_v)
-        rz = grid.norm_l2(r_z) if params.constrained else np.nan
-        update_duals(state, r_q, r_v, r_z)
-        del grad2_g, grad_g, r_q, r_v, r_z
-
-        primal_pass = max((rq, rv, rz) if params.constrained else (rq, rv)) <= tolerance
+        primal_pass = max(raw) <= tolerance
         if primal_pass and not primal_passed and not bracketed:
             check_at = k + 1
         primal_passed = primal_passed or primal_pass
@@ -560,7 +626,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
 
         stop = primal_pass and rs <= tolerance
         if balancing and not stop:
-            primal_rel, dual_rel = _balance_residuals(blocks, (rq, rv, rz), sizes, steps)
+            primal_rel, dual_rel = _balance_residuals(blocks, raw, sizes, steps)
             balanced = balance_penalties(state, params, start, primal_rel, dual_rel)
             if balanced is not params:
                 params = balanced
@@ -570,11 +636,14 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             termination = "tolerance"
             break
 
+    g = state.g
+    restored = state.z if params.constrained else g
+    del state, denom, q_threshold, v_threshold, laplacians
     if np.isnan(energies[-1]):
-        energies[-1] = objective(state.g, f, A, params, omega)
+        energies[-1] = objective(g, f, A, params, omega)
     report = ConvergenceReport(
         res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
         res_dual=np.array(res_dual), mu=np.array(mus).reshape(-1, 3),
         objective=np.array(energies), termination=termination,
     )
-    return (state.z if params.constrained else state.g), report
+    return restored, report

@@ -18,6 +18,23 @@ from .grid import grad
 
 DEFAULT_SIGMA = 1.0
 DEFAULT_CONTRAST = 10.0
+# The most taps, 2*ceil(3*sigma) + 1, the smoothing profile may have: 8 MiB
+# of float64 taps, which sigma up to 174762 stays within. Without a bound a
+# huge sigma asks for an array that cannot be allocated.
+MAX_SMOOTH_TAPS = 2 ** 20
+
+
+def smoothing_radius(sigma: float, name: str = "sigma") -> int:
+    """The radius r = ceil(3*sigma) of the smoothing profile, once sigma is
+    checked: finite, >= 0, and its 2r + 1 taps within MAX_SMOOTH_TAPS.
+    ``name`` is what an error calls sigma."""
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
+    r = int(np.ceil(3.0 * sigma))
+    if 2 * r + 1 > MAX_SMOOTH_TAPS:
+        raise ValueError(f"{name} {sigma:g} needs {2 * r + 1} smoothing taps, "
+                         f"more than {MAX_SMOOTH_TAPS}")
+    return r
 
 
 def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
@@ -27,14 +44,13 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
     blur's sampled Gaussian, r = ceil(3*sigma) taps either side of the
     center, so the transfer function is the outer product of two real 1-D
     transforms, and no 2-D taps are built. sigma = 0 returns a copy of the
-    input unchanged.
+    input unchanged; a sigma whose profile :func:`smoothing_radius` rejects
+    raises ValueError.
     """
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    r = smoothing_radius(sigma)
     f = np.asarray(f, dtype=float)
     if sigma == 0:
         return f.copy()
-    r = int(np.ceil(3.0 * sigma))
     profile = _sampled_gaussian(r, sigma)
     profile /= profile.sum()
     # The profile wrapped onto each axis, center at 0, is even: real DFTs.

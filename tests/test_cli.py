@@ -258,6 +258,8 @@ def test_pipeline_trace_file(tmp_path):
      "bad phantom spec 'three,24,24,0.1,0.5,0.9,8,nan': r_in must be finite and >= 0, got nan"),
     (["--phantom", "two,bars,24,24,0.2,0.8,1e30"],
      "bad phantom spec 'two,bars,24,24,0.2,0.8,1e30': bar_width must be in [1, 24], got 1e+30"),
+    (["--weight-sigma", "1e12"],
+     "--weight-sigma 1e+12 needs 6000000000001 smoothing taps, more than 1048576"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):

@@ -5,7 +5,7 @@ import pytest
 
 from htvseg import grid
 from htvseg.degrade import _convolve, _transfer_function, gaussian_kernel
-from htvseg.weight import edge_weight, gaussian_smooth
+from htvseg.weight import edge_weight, gaussian_smooth, smoothing_radius
 
 
 def smooth_oracle(f, sigma):
@@ -115,6 +115,18 @@ def test_range_and_contrast_monotonicity():
 def test_smooth_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
         gaussian_smooth(np.zeros((4, 4)), sigma)
+
+
+def test_smooth_rejects_sigma_past_tap_budget():
+    """sigma = 1e12 would need a profile of 6e12 taps (43.7 TiB); it fails
+    by name before anything is allocated. At the budget's edge, sigma =
+    174762 needs 1048573 taps and passes, 174763 needs 1048579 and fails."""
+    with pytest.raises(ValueError,
+                       match=r"sigma 1e\+12 needs 6000000000001 smoothing taps"):
+        edge_weight(np.zeros((8, 8)), 1e12)
+    assert smoothing_radius(174762.0) == 524286
+    with pytest.raises(ValueError, match="sigma 174763 needs 1048579 smoothing taps"):
+        smoothing_radius(174763.0)
 
 
 @pytest.mark.parametrize("contrast", [np.nan, np.inf, -1.0])
