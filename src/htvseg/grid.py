@@ -31,8 +31,10 @@ D-y D+x, so ``div2`` applies it once to ``p_xy + p_yx``: three stencils,
 not four. ``grad2`` keeps all four components, each formed by its own
 composition of differences.
 
-Differences are slice arithmetic on the periodic grid: one subtraction for
-the interior and one for the wrapped end, with no rolled copy. Inner
+A difference is one subtraction of the raveled field from itself shifted
+by the axis stride (n rows apart along x, one element along y), then one
+for the wrapped row or column, which also overwrites the cross-row values
+the shift forms along y; no rolled copy, no buffered strided slice. Inner
 products reduce row-major C-ordered buffers with ``np.sum``, and l2 norms
 reduce the channel-major (planar) sequence with ``np.einsum``; each fixes a
 single deterministic summation order, whatever the layout of the input.
@@ -40,24 +42,10 @@ single deterministic summation order, whatever the layout of the input.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # Channel layout of a Vec4Field.
 XX, XY, YX, YY = 0, 1, 2, 3
-
-
-@functools.cache
-def _ends(ndim: int, axis: int) -> tuple:
-    """Index tuples along ``axis`` of an ndim-array: all but the last entry,
-    all but the first, the first, the last."""
-    def along(index):
-        full = [slice(None)] * ndim
-        full[axis] = index
-        return tuple(full)
-    return (along(slice(None, -1)), along(slice(1, None)),
-            along(slice(None, 1)), along(slice(-1, None)))
 
 
 def _planar(alloc, shape, channels: int) -> np.ndarray:
@@ -70,30 +58,40 @@ def vector_zeros(shape, channels: int) -> np.ndarray:
     return _planar(np.zeros, shape, channels)
 
 
+def _difference(u: np.ndarray, axis: int, out: np.ndarray | None,
+                backward: bool) -> np.ndarray:
+    """Periodic difference u[i+1] - u[i] of an m-by-n field along ``axis``,
+    stored at i (forward) or at i+1 (backward). ``out``, when given, must be
+    a C-contiguous array of u's shape that does not overlap u."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.ndim != 2 or not -2 <= axis < 2:
+        raise ValueError(f"no axis {axis} in an m-by-n field: {u.shape}")
+    if out is None:
+        out = np.empty(u.shape)
+    elif out.shape != u.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {u.shape} array")
+    stride = 1 if axis % 2 else u.shape[1]
+    flat, dest = u.ravel(), out.ravel()
+    np.subtract(flat[stride:], flat[:-stride],
+                out=dest[stride:] if backward else dest[:-stride])
+    # The wrapped row (column along y) overwrites what the shift left there.
+    ends, into = (u.T, out.T) if axis % 2 else (u, out)
+    np.subtract(ends[0], ends[-1], out=into[0] if backward else into[-1])
+    return out
+
+
 def diff_forward(u: np.ndarray, axis: int, out: np.ndarray | None = None
                  ) -> np.ndarray:
     """Forward difference u[i+1] - u[i] along ``axis``, wrapping at the end.
-    Written into ``out`` (which must not overlap u) when given."""
-    u = np.asarray(u, dtype=float)
-    init, tail, first, last = _ends(u.ndim, axis)
-    if out is None:
-        out = np.empty(u.shape)
-    np.subtract(u[tail], u[init], out=out[init])
-    np.subtract(u[first], u[last], out=out[last])
-    return out
+    Written into ``out`` (C-contiguous, not overlapping u) when given."""
+    return _difference(u, axis, out, backward=False)
 
 
 def diff_backward(u: np.ndarray, axis: int, out: np.ndarray | None = None
                   ) -> np.ndarray:
     """Backward difference u[i] - u[i-1] along ``axis``, wrapping at the start.
-    Written into ``out`` (which must not overlap u) when given."""
-    u = np.asarray(u, dtype=float)
-    init, tail, first, last = _ends(u.ndim, axis)
-    if out is None:
-        out = np.empty(u.shape)
-    np.subtract(u[tail], u[init], out=out[tail])
-    np.subtract(u[first], u[last], out=out[first])
-    return out
+    Written into ``out`` (C-contiguous, not overlapping u) when given."""
+    return _difference(u, axis, out, backward=True)
 
 
 def grad(u: np.ndarray) -> np.ndarray:
@@ -162,7 +160,7 @@ def div2(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     scratch = np.empty(p.shape[:-1])
     out = diff_backward(diff_forward(p[..., XX], 0, scratch), 0)
-    mixed = np.add(p[..., XY], p[..., YX])
+    mixed = np.add(p[..., XY], p[..., YX], order="C")
     out += diff_backward(diff_forward(mixed, 0, scratch), 1, mixed)
     out += diff_forward(diff_backward(p[..., YY], 1, scratch), 1, mixed)
     return out

@@ -73,8 +73,6 @@ import numpy as np
 from . import grid
 from .degrade import LinearOperatorA, apply as apply_A, apply_adjoint
 
-SHRINK_ZERO_TOL = 1e-15
-
 # Residual balancing: every BALANCE_EVERY-th iteration a block's mu is
 # multiplied (divided) when its relative primal (dual) residual exceeds
 # BALANCE_RATIO times the other, by the power of two nearest the square
@@ -251,16 +249,15 @@ def solve_g(state: SolverState, params: SolverParams, A: LinearOperatorA,
 
 def _shrink(h: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Isotropic vector soft-thresholding with a per-pixel threshold:
-    h <- max(|h| - t, 0) * h/|h|, with |h| < SHRINK_ZERO_TOL mapped to 0.
-    Overwrites h and returns it. The scale shares its plane with the
-    channel squares of |h|."""
+    h <- max(|h| - t, 0) * h/|h|. Overwrites h and returns it. The scale
+    shares its plane with the channel squares of |h|. Every threshold is
+    >= 0, so a positive scale implies |h| > 0, and only those pixels are
+    divided; the rest keep the scale 0, so |h| = 0 gives 0, not NaN."""
     scale = np.empty(h.shape[:-1])
     mag = grid.pixel_magnitude(h, scale)
-    live = mag >= SHRINK_ZERO_TOL
     np.subtract(mag, threshold, out=scale)
     np.maximum(scale, 0.0, out=scale)
-    np.divide(scale, mag, out=scale, where=live)
-    scale[~live] = 0.0
+    np.divide(scale, mag, out=scale, where=scale > 0)
     h *= scale[..., None]
     return h
 

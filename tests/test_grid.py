@@ -54,10 +54,11 @@ def test_grad2_2x2_hand_values():
     assert np.array_equal(q[..., grid.YY], [[2.0, -2.0], [2.0, -2.0]])
 
 
-@pytest.mark.parametrize("shape", [(5, 7), (6, 8), (1, 9), (8, 1)])
+@pytest.mark.parametrize("shape", [(5, 7), (6, 8), (1, 9), (8, 1), (1, 1), (3, 2)])
 def test_differences_match_roll_reference(shape):
-    """Slice arithmetic reproduces the np.roll formulation bit for bit, for
-    the differences and for grad/grad2 built from them."""
+    """The shifted subtraction reproduces the np.roll formulation bit for
+    bit, for the differences and for grad/grad2 built from them, also where
+    the shift spans the whole field or one row."""
     def fwd(u, axis):
         return np.roll(u, -1, axis=axis) - u
 
@@ -72,6 +73,37 @@ def test_differences_match_roll_reference(shape):
     expected = np.stack((bwd(fwd(u, 0), 0), bwd(fwd(u, 1), 0),
                          fwd(bwd(u, 0), 1), fwd(bwd(u, 1), 1)), axis=-1)
     assert np.array_equal(grid.grad2(u), expected)
+
+
+@pytest.mark.parametrize("diff", [grid.diff_forward, grid.diff_backward])
+def test_axis1_difference_into_out_allocates_no_buffers(diff):
+    """Along y the difference is one flat subtraction and a column write,
+    so numpy buffers no strided 2-D slices."""
+    u = np.random.default_rng(3).normal(size=(256, 256))
+    out = np.empty_like(u)
+    diff(u, 1, out)
+    tracemalloc.start()
+    try:
+        diff(u, 1, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+@pytest.mark.parametrize("diff", [grid.diff_forward, grid.diff_backward])
+def test_difference_rejects_bad_fields_and_outputs(diff):
+    m, n = 4, 5
+    u = np.ones((m, n))
+    for out in (np.empty((m, 2 * n))[:, ::2], np.empty((n, m)),
+                np.empty((m, n), order="F")):
+        with pytest.raises(ValueError):
+            diff(u, 1, out)
+    for bad in (np.ones(n), np.ones((2, m, n))):
+        with pytest.raises(ValueError):
+            diff(bad, 0)
+    with pytest.raises(ValueError):
+        diff(u, 2)
 
 
 def test_grad2_matches_composed_differences():
@@ -220,6 +252,7 @@ def test_operators_agree_on_planar_and_channel_last(shape):
         for op in (grid.pixel_magnitude, grid.norm_l2,
                    grid.div if p.shape[-1] == 2 else grid.div2):
             assert np.array_equal(op(p), op(last))
+            assert np.array_equal(op(p), op(np.asfortranarray(p)))
     strided = np.ascontiguousarray(p4)[..., grid.XY]
     assert not strided.flags.c_contiguous
     for op in (grid.grad, grid.grad2):
