@@ -3,8 +3,9 @@
 The restored image is stretched to [0,1], its intensities are split into K
 groups by exact 1-D K-means (a dynamic program over split points of the
 sorted values, which reaches the global optimum of the within-cluster sum
-of squares without seeds), and the midpoints of consecutive sorted centers
-become the K-1 thresholds that cut the range into phases.
+of squares without seeds; its last inner layer solves only the end points
+a cost bound cannot rule out), and the midpoints of consecutive sorted
+centers become the K-1 thresholds that cut the range into phases.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def stretch(g: np.ndarray) -> np.ndarray:
     return (g - lo) / (hi - lo)
 
 
-def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int):
+def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int,
+                 s2: np.ndarray | None = None):
     """One DP layer: for every end point i in [lo, hi], the split j in
     [lo-1, i-1] minimizing e[j] - (s1[i] - s1[j])**2 / (i - j), and that
     minimum (inf outside [lo, hi]). Optimal splits are monotone in i, so
@@ -66,11 +68,31 @@ def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int):
     point of each open interval and hands each half the matching part of
     the split range. Each recursion level is one batch of array operations
     over all intervals' candidates at once, which number at most n plus
-    the intervals. Ties keep the smallest split."""
+    the intervals. Ties keep the smallest split.
+
+    ``s2``, the prefix sums of squares, marks the last inner layer (``hi``
+    is n - 1, and the layer's costs cost(i) = best[i] + s2[i] are read only
+    at the split i minimizing cost(i) + C(i, n), C the cost of the tail
+    segment). cost never decreases in i and C never increases, so every end
+    point strictly between solved end points l < r costs at least
+    cost(l) + C(r, n), with 0 for a missing neighbour. After each level an
+    interval whose bound exceeds the best total solved so far by more than
+    the rounding slack is dropped: its end points stay inf, and every other
+    interval keeps the split range and values of the full layer, so the
+    minimizing split is the same, ties included. The slack covers rounding:
+    sequential prefix sums of n centered values put at most
+    4 n**1.5 2**-53 s2[n] on one segment cost, a total sums lo + 1 of them
+    and three s2 entries, and a pruning test compares three totals; the
+    slack is about 40 times that first-order bound."""
     best = np.full(e.size, np.inf)
     arg = np.zeros(e.size, dtype=np.intp)
     ilo, ihi = np.array([lo]), np.array([hi])
     jlo, jhi = np.array([lo - 1]), np.array([hi - 1])
+    if s2 is not None:
+        n = e.size - 1
+        head, tail = np.zeros(n + 1), np.zeros(n + 1)   # cost(i), C(i, n)
+        top = np.inf
+        slack = (lo + 2) * n ** 1.5 * 2.0 ** -44 * s2[n]
     while ilo.size:
         mid = (ilo + ihi) // 2
         jtop = np.minimum(jhi, mid - 1)
@@ -92,6 +114,12 @@ def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int):
                               np.concatenate((mid[left] - 1, ihi[right])),
                               np.concatenate((jlo[left], opt[right])),
                               np.concatenate((opt[left], jhi[right])))
+        if s2 is not None:
+            head[mid] = low + s2[mid]
+            tail[mid] = s2[n] - s2[mid] - (s1[n] - s1[mid]) ** 2 / (n - mid)
+            top = min(top, np.min(head[mid] + tail[mid]))
+            keep = head[ilo - 1] + tail[ihi + 1] <= top + slack
+            ilo, ihi, jlo, jhi = ilo[keep], ihi[keep], jlo[keep], jhi[keep]
     return best, arg
 
 
@@ -103,11 +131,17 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     Optimal clusters are contiguous in sorted order, so a dynamic program
     over split points of the sorted values finds the optimum exactly
     (Wang & Song 2011; Gronlund et al. 2017). Segment costs come from
-    prefix sums of the mean-centered values. Each inner layer is solved by
-    :func:`_split_layer` in O(n log n); the last layer needs only the end
-    point n, so it is one O(n) scan. No seeds are drawn, so the result is
-    deterministic. ``restarts`` and ``seed`` are ignored; they are kept so
-    that callers of the former restart heuristic keep working.
+    prefix sums of the mean-centered values, divided by the power of two
+    nearest their largest magnitude: the scale is exact, so no bit of the
+    result moves, and the squares neither under- nor overflow at any value
+    scale. Each inner layer is solved by :func:`_split_layer` in
+    O(n log n), except the last one, whose costs are read only through the
+    tail segment: a cost bound prunes it to the few end points that can
+    hold the optimal split (a few hundred of 262,144 on a 512x512
+    restoration). The last layer needs only the end point n, so it is one
+    O(n) scan. No seeds are drawn, so the result is deterministic.
+    ``restarts`` and ``seed`` are ignored; they are kept so that callers of
+    the former restart heuristic keep working.
     """
     values = np.asarray(values, dtype=float).ravel()
     if k < 2:
@@ -120,6 +154,7 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
         raise ValueError(f"need at least {k} distinct values, got {distinct}")
 
     centered = xs - xs.mean()
+    centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
     s1 = np.concatenate(([0.0], np.cumsum(centered)))
     s2 = np.concatenate(([0.0], np.cumsum(centered * centered)))
     # cost of the best c-segment split of xs[:i] is s2[i] + best_c[i];
@@ -128,7 +163,7 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     e[1:] = -s1[1:] ** 2 / np.arange(1, n + 1)
     splits = []
     for c in range(2, k):
-        e, arg = _split_layer(e, s1, c, n - k + c)
+        e, arg = _split_layer(e, s1, c, n - k + c, s2 if c == k - 1 else None)
         splits.append(arg)
     j = np.arange(k - 1, n)
     last = e[j] - (s1[n] - s1[j]) ** 2 / (n - j)

@@ -61,19 +61,20 @@ def _load_pgm(data: bytes) -> np.ndarray:
 
 def _read_raw(data: bytes, magic: bytes, dtype: str) -> np.ndarray:
     """Parse an RF64 or RI32 file, whose payload has the given dtype."""
-    lines = data.split(b"\n", 2)
-    if len(lines) < 3 or lines[0] != magic:
+    end_magic = data.find(b"\n")
+    end_dims = data.find(b"\n", end_magic + 1)
+    if end_magic < 0 or end_dims < 0 or data[:end_magic] != magic:
         raise ValueError(f"malformed {magic.decode()} file")
     try:
-        rows, cols = (int(tok) for tok in lines[1].split())
+        rows, cols = (int(tok) for tok in data[end_magic + 1:end_dims].split())
     except ValueError as exc:
         raise ValueError(f"malformed {magic.decode()} dimension line") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"bad dimensions {rows}x{cols}")
-    payload, need = lines[2], rows * cols * np.dtype(dtype).itemsize
-    if len(payload) < need:
+    offset, count = end_dims + 1, rows * cols
+    if len(data) - offset < count * np.dtype(dtype).itemsize:
         raise ValueError(f"truncated {magic.decode()} payload")
-    return np.frombuffer(payload[:need], dtype=dtype).reshape(rows, cols).copy()
+    return np.frombuffer(data, dtype, count, offset).reshape(rows, cols).copy()
 
 
 def _write_raw(a: np.ndarray, path, magic: bytes, dtype: str) -> None:
@@ -81,7 +82,7 @@ def _write_raw(a: np.ndarray, path, magic: bytes, dtype: str) -> None:
     with open(path, "wb") as fh:
         fh.write(magic + b"\n")
         fh.write(f"{a.shape[0]} {a.shape[1]}\n".encode())
-        fh.write(a.astype(dtype).tobytes())
+        fh.write(np.ascontiguousarray(a, dtype=dtype))
 
 
 def load_image(path) -> np.ndarray:

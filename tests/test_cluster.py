@@ -2,6 +2,7 @@
 and threshold labeling."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +240,87 @@ def test_piecewise_constant_reconstruction():
     recon = cluster.piecewise_constant(lab)
     assert np.array_equal(recon, lab.phase_means[lab.labels - 1])
     assert recon.shape == g.shape
+
+
+def first_layer(values):
+    """Sorted values, prefix sums of the centered values and of their
+    squares, and the one-segment layer e[i] = -s1[i]**2 / i."""
+    xs = np.sort(np.asarray(values, dtype=float))
+    n = xs.size
+    centered = xs - xs.mean()
+    s1 = np.concatenate(([0.0], np.cumsum(centered)))
+    s2 = np.concatenate(([0.0], np.cumsum(centered * centered)))
+    e = np.full(n + 1, np.inf)
+    e[1:] = -s1[1:] ** 2 / np.arange(1, n + 1)
+    return xs, s1, s2, e
+
+
+def unbounded_kmeans(values, k):
+    """kmeans_1d's dynamic program with every layer solved in full: the same
+    prefix sums and the same _split_layer, without the bound on the last
+    inner layer and without the power-of-two scale (which is exact, so it
+    changes no bit), then a scan of every split of the tail segment."""
+    xs, s1, _, e = first_layer(values)
+    n = xs.size
+    splits = []
+    for c in range(2, k):
+        e, arg = cluster._split_layer(e, s1, c, n - k + c)
+        splits.append(arg)
+    j = np.arange(k - 1, n)
+    bounds = [n, k - 1 + int(np.argmin(e[j] - (s1[n] - s1[j]) ** 2 / (n - j)))]
+    for arg in reversed(splits):
+        bounds.append(int(arg[bounds[-1]]))
+    bounds = [0] + bounds[::-1]
+    centers = np.array([xs[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+    wcss = float(sum(np.sum((xs[a:b] - mu) ** 2)
+                     for a, b, mu in zip(bounds[:-1], bounds[1:], centers)))
+    return centers, wcss
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties", "modes", "levels"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_kmeans_matches_unbounded_layers(kind, k):
+    rng = np.random.default_rng([11, k, len(kind)])
+    for n in (k + 7, 300, 5000, 100_000):
+        if kind == "levels":
+            # k + 1 evenly filled levels: merging any two neighbours costs
+            # the same, so the last split ties exactly or to rounding
+            values = np.arange(n) % (k + 1) / k
+        elif kind == "modes":
+            sizes = rng.multinomial(n, rng.dirichlet([1.0, 1.0, 1.0]))
+            values = np.concatenate([rng.normal(mu, 0.03, size)
+                                     for mu, size in zip((0.2, 0.5, 0.8), sizes)])
+        else:
+            values = rng.uniform(0.0, 1.0, size=n)
+            if kind == "ties":
+                values = np.round(values * 20) / 20
+        res = cluster.kmeans_1d(values, k)
+        centers, wcss = unbounded_kmeans(values, k)
+        assert np.array_equal(res.centers, centers)
+        assert res.wcss == wcss
+
+
+def test_bounded_last_layer_solves_few_end_points():
+    rng = np.random.default_rng(16)
+    xs, s1, s2, e = first_layer(rng.uniform(0.0, 1.0, size=2 ** 16))
+    n = xs.size
+    full, full_arg = cluster._split_layer(e, s1, 2, n - 1)
+    best, arg = cluster._split_layer(e, s1, 2, n - 1, s2)
+    solved = np.isfinite(best)
+    assert 0 < np.count_nonzero(solved) < n / 16
+    # solved end points carry the full layer's values and splits
+    assert np.array_equal(best[solved], full[solved])
+    assert np.array_equal(arg[solved], full_arg[solved])
+    j = np.arange(2, n)
+    tail = (s1[n] - s1[j]) ** 2 / (n - j)
+    assert np.argmin(best[j] - tail) == np.argmin(full[j] - tail)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-165, 1e153])
+def test_kmeans_extreme_value_scales(scale):
+    # squares of these values under- or overflow unless they are rescaled
+    values = np.array([0, 1, 2, 10, 11, 12, 30, 31, 32], dtype=float) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cluster.kmeans_1d(values, 3)
+    assert np.allclose(res.centers / scale, [1.0, 11.0, 31.0], rtol=1e-12, atol=0.0)

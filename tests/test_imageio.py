@@ -136,3 +136,18 @@ def test_load_image_unknown_format(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ValueError):
         imageio.load_image(path)
+
+
+@pytest.mark.parametrize("array, save, head", [
+    (np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7), imageio.save_raw_float, b"RF64\n3 4\n"),
+    ((np.arange(80.0).reshape(8, 10) / 3)[::2, ::3], imageio.save_raw_float, b"RF64\n4 4\n"),
+    (np.arange(6, dtype=np.int64).reshape(2, 3) + 1, imageio.save_labels, b"RI32\n2 3\n"),
+])
+def test_raw_writers_match_header_plus_tobytes(tmp_path, array, save, head):
+    path = tmp_path / "a.raw"
+    save(array, path)
+    dtype = "<f8" if array.dtype.kind == "f" else "<i4"
+    assert path.read_bytes() == head + array.astype(dtype).tobytes()
+    back = imageio.load_image(path) if dtype == "<f8" else imageio.load_labels(path)
+    assert np.array_equal(back, array)
+    assert back.flags.writeable and back.flags.c_contiguous
