@@ -54,10 +54,12 @@ def gaussian_kernel(s: int, sigma_g: float) -> BlurKernel:
     Parameters
     ----------
     s : odd kernel size in pixels.
-    sigma_g : standard deviation of the Gaussian, > 0.
+    sigma_g : standard deviation of the Gaussian, finite and > 0.
     """
     if s < 1 or s % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {s}")
+    if not np.isfinite(sigma_g):
+        raise ValueError(f"sigma_g must be finite, got {sigma_g}")
     if sigma_g <= 0:
         raise ValueError(f"sigma_g must be positive, got {sigma_g}")
     g1 = _sampled_gaussian(s // 2, sigma_g)
@@ -202,8 +204,11 @@ def add_gaussian_noise(g: np.ndarray, variance: float, seed: int) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise of the given variance.
 
     The result is not clipped; observed images may leave [0, 1]. The same
-    seed always produces the same noise field.
+    seed always produces the same noise field. The variance must be finite
+    and >= 0.
     """
+    if not np.isfinite(variance):
+        raise ValueError(f"variance must be finite, got {variance}")
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     g = np.asarray(g, dtype=float)

@@ -10,40 +10,33 @@ an ASCII "rows cols" line.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 PGM_MAX_16BIT = 65535
 
 
+# Magic, then width, height and maxval, each after whitespace or comments
+# that run to a line break, and one whitespace byte before the raster. A
+# comment must end at a line break, so no byte can start two separator
+# tokens and a header of '#'s parses in linear time.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+
+
 def _parse_pgm_header(data: bytes):
     """Return (width, height, maxval, offset of first raster byte)."""
-    if data[:2] != b"P5":
-        raise ValueError("not a binary PGM (P5) file")
-    pos, fields = 2, []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise ValueError("truncated PGM header")
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            start = pos
-            while pos < len(data) and data[pos:pos + 1].isdigit():
-                pos += 1
-            fields.append(int(data[start:pos]))
-        else:
-            raise ValueError(f"malformed PGM header byte {ch!r}")
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
-        raise ValueError("PGM header must end with a whitespace byte")
-    width, height, maxval = fields
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError("malformed PGM header: expected 'P5', width, height "
+                         "and maxval separated by whitespace or comments, "
+                         "then one whitespace byte")
+    width, height, maxval = (int(value) for value in header.groups())
     if width < 1 or height < 1:
         raise ValueError(f"bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= PGM_MAX_16BIT:
         raise ValueError(f"PGM maxval out of range: {maxval}")
-    return width, height, maxval, pos + 1
+    return width, height, maxval, header.end()
 
 
 def _load_pgm(data: bytes) -> np.ndarray:

@@ -36,20 +36,20 @@ BALANCE_EVERY iterations are the plain split Bregman ones.
 The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
 ``balance_penalties``), the relaxation's dual step and each block's dual
 ascent by its primal residual are the whole iteration; ``update_duals`` is
-that ascent for all three blocks at once, for callers that step the
-iteration themselves. After the g-solve ``run`` tables the blocks q, v, z
-with their K (grad2, grad, the identity), update call, scaled dual,
-auxiliary, K^T (div2, div, a copy), signed penalty (+mu1, -mu2, +mu3) and
-term of the objective, and one loop over the table forms each block's K g,
-relaxes, updates, ascends the dual and brackets each block alike, freeing
-K g before the next block forms its own. The steps get the gradients of g
-``run`` formed once per iteration, and the shrink thresholds and the
-g-solve's symbol it rebuilds only when a penalty changes. Each update
-overwrites its own variable of the state in place, since the old value is
-dead by the time it runs, and returns it.
-``run`` does no I/O: it returns its per-iteration record as a
-``ConvergenceReport``. It forms the dual residual and the objective only
-on the iterations that read them.
+that ascent for all three blocks at once, formed from the state, for
+callers that step the iteration themselves. ``run`` tables the blocks q,
+v, z with their K (grad2, grad, the identity), update call with its shrink
+threshold, scaled dual, auxiliary, K^T (div2, div, a copy), signed penalty
+(+mu1, -mu2, +mu3) and term of the objective. It builds that table and the
+g-solve's symbol, everything that depends on the penalties, at the start
+and again only when a penalty changes. After each g-solve one loop over
+the table forms each block's K g, relaxes, updates, ascends the dual and
+brackets each block alike, freeing K g before the next block forms its
+own. Each update overwrites its own variable of the state in place, since
+the old value is dead by the time it runs, and returns it.
+``run`` does no I/O: it keeps one record row per iteration and returns
+the rows as a ``ConvergenceReport``. It forms the dual residual and the
+objective only on the iterations that read them.
 
 The frequency-domain denominator is built from delta responses of the very
 same grid stencils used in the spatial domain, so the solve is exact to
@@ -64,7 +64,7 @@ import math
 import numbers
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -149,13 +149,13 @@ class ConvergenceReport:
     sqrt(m*n), reached params.epsilon, else "max_iter". Unconstrained runs
     report NaN for res_z."""
 
-    res_q: np.ndarray = field(default_factory=lambda: np.empty(0))
-    res_v: np.ndarray = field(default_factory=lambda: np.empty(0))
-    res_z: np.ndarray = field(default_factory=lambda: np.empty(0))
-    res_dual: np.ndarray = field(default_factory=lambda: np.empty(0))
-    mu: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
-    objective: np.ndarray = field(default_factory=lambda: np.empty(0))
-    termination: str = ""
+    res_q: np.ndarray
+    res_v: np.ndarray
+    res_z: np.ndarray
+    res_dual: np.ndarray
+    mu: np.ndarray
+    objective: np.ndarray
+    termination: str
 
     @property
     def iterations(self) -> int:
@@ -304,26 +304,19 @@ def update_z(state: SolverState, params: SolverParams) -> np.ndarray:
     return np.clip(z, 0.0, params.iota, out=z)
 
 
-def update_duals(state: SolverState, res_q: np.ndarray | None = None,
-                 res_v: np.ndarray | None = None,
-                 res_z: np.ndarray | None = None
+def update_duals(state: SolverState
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Dual ascent by the primal residuals, in place: b += grad2 g - q,
-    c += grad g - v, d += g - z. Returns the state's (b, c, d). ``res_q``,
-    ``res_v`` and ``res_z`` are those three residuals, formed here from the
-    state if not given. This is the unit step that ends an iteration of the
+    """Dual ascent by the primal residuals, formed from the state, in
+    place: b += grad2 g - q, c += grad g - v, d += g - z. Returns the
+    state's (b, c, d). This is the unit step that ends an iteration of the
     step functions; ``run`` takes it block by block, each right after the
     block's update, and in an over-relaxed iteration the dual has already
     taken (RELAXATION - 1)(K g - a_old) before the update, so that the two
     together ascend by the relaxed residual h - a_new."""
-    if res_q is None:
-        res_q = grid.grad2(state.g) - state.q
-    if res_v is None:
-        res_v = grid.grad(state.g) - state.v
-    state.b += res_q
-    state.c += res_v
+    state.b += grid.grad2(state.g) - state.q
+    state.c += grid.grad(state.g) - state.v
     if state.d is not None:
-        state.d += state.g - state.z if res_z is None else res_z
+        state.d += state.g - state.z
     return state.b, state.c, state.d
 
 
@@ -422,7 +415,7 @@ def _relative(num: float, den: float) -> float:
 
 
 class _Block(NamedTuple):
-    """One row of ``run``'s per-iteration block table."""
+    """One row of ``run``'s block table."""
 
     K: Callable                 # grid.grad2, grid.grad or the identity
     update: Callable            # the block's update step, given K g
@@ -435,6 +428,27 @@ class _Block(NamedTuple):
 
 def _identity(g: np.ndarray) -> np.ndarray:
     return g
+
+
+def _block_table(state: SolverState, params: SolverParams,
+                 omega: np.ndarray) -> list[_Block]:
+    """``run``'s block table for the penalties of ``params``: the q and v
+    updates with their shrink thresholds lam*(1 - w)/mu1 and gamma*w/mu2,
+    and, in constrained mode, the z update, each with its signed penalty."""
+    blocks = [_Block(grid.grad2,
+                     partial(update_q, state, params, omega,
+                             threshold=params.lam * (1.0 - omega) / params.mu1),
+                     state.b, state.q, grid.div2, params.mu1,
+                     partial(_tv_term, omega=omega, second_order=True)),
+              _Block(grid.grad,
+                     partial(update_v, state, params, omega,
+                             threshold=params.gamma * omega / params.mu2),
+                     state.c, state.v, grid.div, -params.mu2,
+                     partial(_tv_term, omega=omega, second_order=False))]
+    if params.constrained:
+        blocks.append(_Block(_identity, lambda _: update_z(state, params),
+                             state.d, state.z, np.copy, params.mu3, None))
+    return blocks
 
 
 def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
@@ -511,25 +525,25 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     one evaluated s itself; only those iterations can stop the run. Such an
     iteration brackets each update with K^T of its variable (div2 q, div v,
     a copy of z), a plane rather than a copy of q or v, and adds each change
-    times the signed penalty the iteration ran with into s in place. The
-    block table is rebuilt every iteration, so that its update calls see
-    the current penalties.
+    times the signed penalty the iteration ran with into s in place.
 
     Every BALANCE_EVERY-th iteration but the last allowed one is a
-    balancing iteration: it also forms each block's relative residuals,
-    calls :func:`balance_penalties`, and rebuilds the g-solve's symbol and
-    the shrink thresholds when a penalty changed. params.mu1..3 are the
-    starting penalties. The objective is evaluated on balancing iterations,
-    from the data term and each block's K g, and for the final iterate by
-    :func:`objective`; report.objective is NaN on the others. Every
-    iteration after iteration BALANCE_EVERY is over-relaxed by RELAXATION,
-    as the module docstring describes; the residuals it reports and stops
-    on are the unrelaxed ones.
+    balancing iteration: it also forms each block's relative residuals
+    and calls :func:`balance_penalties`. The block table, with its shrink
+    thresholds and signed penalties, and the g-solve's symbol are built at
+    the start; the table is rebuilt when a penalty changes, and the symbol
+    with it. params.mu1..3 are the starting penalties. The objective is
+    evaluated on balancing iterations, from the data term and each block's
+    K g, and for the final iterate by :func:`objective`; report.objective
+    is NaN on the others. Every iteration after iteration BALANCE_EVERY is
+    over-relaxed by RELAXATION, as the module docstring describes; the
+    residuals it reports and stops on are the unrelaxed ones.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
     the limit) and g in unconstrained mode, uncopied since nothing else
-    holds it. report is the per-iteration record; ``run`` writes nothing.
+    holds it. report holds the one record row each iteration appended
+    (its residual norms, penalties and objective); ``run`` writes nothing.
 
     Each iteration computes grad2 g and grad g once. A block's K g lives
     only through that block's update: it feeds the relaxation, the update
@@ -543,7 +557,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     with blur, one, while for the identity it is f itself), plus the
     transients of the step in hand: at most seven, in the q block (grad2 g,
     a bracket plane, the shrink's magnitude and scale) and in the g-solve
-    (q - b and div2's three). The state's q, v, duals and the penalty terms
+    (q - b and div2's three). The state, the block table and the symbols
     are freed before the final iterate's energy. A* f and the
     symbols of div2 grad2 and div grad are computed once per run. An image
     without pixels and non-finite pixels in f or omega raise ValueError up
@@ -572,15 +586,9 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     adjoint_f = f if A.kind == "identity" else apply_adjoint(A, f)
     tolerance = params.epsilon * np.sqrt(f.size)
 
-    def penalty_terms(params):
-        """The g-solve's symbol and the q and v shrink thresholds."""
-        return (g_denominator(A, params, laplacians),
-                params.lam * (1.0 - omega) / params.mu1,
-                params.gamma * omega / params.mu2)
-
-    denom, q_threshold, v_threshold = penalty_terms(params)
-    res_q, res_v, res_z, res_dual = [], [], [], []
-    mus, energies = [], []
+    denom = g_denominator(A, params, laplacians)
+    blocks = _block_table(state, params, omega)
+    rows = []   # (res_q, res_v, res_z, res_dual, mu1, mu2, mu3, energy)
     termination = "max_iter"
     primal_passed = False
     check_at = 1    # the iteration off the balancing schedule that evaluates s
@@ -592,17 +600,6 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
-        blocks = [_Block(grid.grad2, partial(update_q, state, params, omega,
-                                             threshold=q_threshold),
-                         state.b, state.q, grid.div2, params.mu1,
-                         partial(_tv_term, omega=omega, second_order=True)),
-                  _Block(grid.grad, partial(update_v, state, params, omega,
-                                            threshold=v_threshold),
-                         state.c, state.v, grid.div, -params.mu2,
-                         partial(_tv_term, omega=omega, second_order=False))]
-        if params.constrained:
-            blocks.append(_Block(_identity, lambda _: update_z(state, params),
-                                 state.d, state.z, np.copy, params.mu3, None))
         raw, steps, rs, sizes, terms = _update_blocks(
             blocks, state.g, k > BALANCE_EVERY, bracketed, balancing)
         rq, rv, rz = raw if params.constrained else (*raw, np.nan)
@@ -614,12 +611,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             check_at = k + 1
         primal_passed = primal_passed or primal_pass
 
-        res_q.append(rq)
-        res_v.append(rv)
-        res_z.append(rz)
-        res_dual.append(rs)
-        mus.append((params.mu1, params.mu2, params.mu3))
-        energies.append(energy)
+        rows.append((rq, rv, rz, rs, params.mu1, params.mu2, params.mu3, energy))
 
         stop = primal_pass and rs <= tolerance
         if balancing and not stop:
@@ -627,20 +619,21 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             balanced = balance_penalties(state, params, start, primal_rel, dual_rel)
             if balanced is not params:
                 params = balanced
-                denom, q_threshold, v_threshold = penalty_terms(params)
-        del blocks
+                denom = g_denominator(A, params, laplacians)
+                blocks = _block_table(state, params, omega)
         if stop:
             termination = "tolerance"
             break
 
     g = state.g
     restored = state.z if params.constrained else g
-    del state, denom, q_threshold, v_threshold, laplacians
-    if np.isnan(energies[-1]):
-        energies[-1] = objective(g, f, A, params, omega)
+    del state, blocks, denom, laplacians
+    record = np.array(rows)
+    if np.isnan(record[-1, 7]):
+        record[-1, 7] = objective(g, f, A, params, omega)
     report = ConvergenceReport(
-        res_q=np.array(res_q), res_v=np.array(res_v), res_z=np.array(res_z),
-        res_dual=np.array(res_dual), mu=np.array(mus).reshape(-1, 3),
-        objective=np.array(energies), termination=termination,
+        res_q=record[:, 0], res_v=record[:, 1], res_z=record[:, 2],
+        res_dual=record[:, 3], mu=record[:, 4:7], objective=record[:, 7],
+        termination=termination,
     )
     return restored, report

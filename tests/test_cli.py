@@ -271,6 +271,25 @@ def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
     assert not (tmp_path / "out" / "clean.rf64").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--degrade", "gaussian,5,inf"],
+     "bad degrade spec 'gaussian,5,inf': sigma_g must be finite, got inf"),
+    (["--degrade", "gaussian,3,nan"],
+     "bad degrade spec 'gaussian,3,nan': sigma_g must be finite, got nan"),
+])
+def test_main_rejects_non_finite_blur_width(tmp_path, monkeypatch, capsys,
+                                           flags, message):
+    """A non-finite Gaussian width fails before the clean image is written,
+    naming sigma_g, rather than running a box blur or failing on the
+    taps."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "5",
+                   "--out-dir", "out", *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "clean.rf64").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8",

@@ -99,6 +99,19 @@ def test_motion_kernel_rejects_non_finite_spec(length, theta, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("sigma,message", [
+    (np.inf, "sigma_g must be finite, got inf"),
+    (-np.inf, "sigma_g must be finite, got -inf"),
+    (np.nan, "sigma_g must be finite, got nan"),
+])
+def test_gaussian_kernel_rejects_non_finite_sigma(sigma, message):
+    """An infinite sigma would flatten the taps into a box kernel and a NaN
+    one fail on the taps; either is rejected up front, naming sigma_g."""
+    with pytest.raises(ValueError) as info:
+        gaussian_kernel(5, sigma)
+    assert str(info.value) == message
+
+
 def test_motion_kernel_oblique_invariants():
     for length, theta in [(5, 45.0), (7, 30.0), (4.5, 120.0), (3, 10.0)]:
         k = motion_kernel(length, theta)
@@ -203,6 +216,14 @@ def test_noise_basics():
     assert not np.array_equal(a, add_gaussian_noise(g, 0.02, seed=6))
     with pytest.raises(ValueError):
         add_gaussian_noise(g, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("variance", [np.nan, np.inf, -np.inf])
+def test_noise_rejects_non_finite_variance(variance):
+    g = np.zeros((4, 5))
+    with pytest.raises(ValueError) as info:
+        add_gaussian_noise(g, variance, seed=0)
+    assert str(info.value) == f"variance must be finite, got {variance}"
 
 
 def test_noise_sample_variance():

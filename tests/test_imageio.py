@@ -50,6 +50,7 @@ def test_load_pgm_nonsquare_orientation(tmp_path):
     b"P5\n2 2\n0\n" + bytes(4),         # maxval 0
     b"P5\n2 2\n70000\n" + bytes(16),    # maxval too large
     b"P5\n2 -2\n255\n" + bytes(4),      # negative is a malformed byte
+    b"P55 5 255\n" + bytes(25),         # no whitespace after the magic
 ])
 def test_load_pgm_rejects_malformed(tmp_path, blob):
     path = tmp_path / "bad.pgm"

@@ -421,8 +421,8 @@ def relative(num, den):
 def reference_loop(f, A, params, omega):
     """The iteration as public step functions called with their defaults,
     so that each recomputes the gradients, A* f and the symbol it needs;
-    after iteration BALANCE_EVERY, ``update_duals`` first takes the
-    relaxation's step (RELAXATION - 1)(K g - a_old) of each block. Every
+    after iteration BALANCE_EVERY, each block's dual first takes the
+    relaxation's step (RELAXATION - 1)(K g - a_old), in place. Every
     BALANCE_EVERY-th iteration but the last, the relative residuals
     are formed here from full copies of q, v, z and handed to
     ``balance_penalties``. For runs whose primal residuals never pass: the
@@ -440,10 +440,10 @@ def reference_loop(f, A, params, omega):
         state.g = restore.solve_g(state, params, A, f)
         alpha = restore.RELAXATION if k > restore.BALANCE_EVERY else 1.0
         if alpha != 1.0:
-            restore.update_duals(
-                state, (alpha - 1.0) * (grid.grad2(state.g) - state.q),
-                (alpha - 1.0) * (grid.grad(state.g) - state.v),
-                (alpha - 1.0) * (state.g - state.z) if params.constrained else None)
+            state.b += (alpha - 1.0) * (grid.grad2(state.g) - state.q)
+            state.c += (alpha - 1.0) * (grid.grad(state.g) - state.v)
+            if params.constrained:
+                state.d += (alpha - 1.0) * (state.g - state.z)
         state.q = restore.update_q(state, params, omega)
         state.v = restore.update_v(state, params, omega)
         if params.constrained:
@@ -730,6 +730,43 @@ def test_run_deblur_stops_within_iteration_budget():
         assert report.termination == "tolerance"
         total += report.iterations
     assert total <= 220
+
+
+def test_run_rebuilds_g_symbol_only_when_a_penalty_changes(monkeypatch):
+    """The g-solve's symbol is built once at the start and once more after
+    each balancing iteration that changed a penalty, which shows in the
+    report as a row whose mu differs from the row before it."""
+    g_denominator, calls = restore.g_denominator, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return g_denominator(*args, **kwargs)
+
+    monkeypatch.setattr(restore, "g_denominator", counting)
+    ph = make_three_phase(64, 64)
+    A = LinearOperatorA.convolution(gaussian_kernel(5, 5.0), ph.image.shape)
+    params = SolverParams(lam=0.1, gamma=1.95, max_iter=300)
+    for seed in (1, 2, 3):
+        f = add_gaussian_noise(apply(A, ph.image), 0.01, seed)
+        calls.clear()
+        _, report = restore.run(f, A, params, edge_weight(f))
+        changes = np.count_nonzero(np.any(np.diff(report.mu, axis=0) != 0, axis=1))
+        assert changes > 0
+        assert len(calls) == 1 + changes
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_run_stops_on_non_finite_iterate(constrained):
+    """Pixels near the float maximum overflow the first g-solve; ``run``
+    stops there with FloatingPointError instead of iterating on inf."""
+    i, j = np.indices((8, 8))
+    f = np.where((i + j) % 2 == 0, 1.7e308, -1.7e308)
+    params = SolverParams(lam=0.1, gamma=0.1, constrained=constrained)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match="non-finite iterate at iteration 1"):
+            restore.run(f, LinearOperatorA.identity(f.shape), params,
+                        np.ones(f.shape))
 
 
 def test_run_inactive_box_keeps_mu3_within_span():
