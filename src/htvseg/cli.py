@@ -30,6 +30,12 @@ from .degrade import (LinearOperatorA, add_gaussian_noise, apply as apply_blur,
                       gaussian_kernel, motion_kernel, save_kernel)
 from .phantom import make_three_phase, make_two_phase
 
+# Largest pixel magnitude of an observation the pipeline takes. The edge
+# weight, the data term and the residual norms square pixel differences and
+# sum them over the grid, which overflows from about 1e150 on; real
+# intensities are nowhere near either.
+MAX_PIXEL = 1e100
+
 # (config key, argparse dest, type, default). Config files use the key
 # spelling; every key is overridable by the flag of the same name. The
 # solver and edge-weight defaults are those of SolverParams and weight.
@@ -178,6 +184,21 @@ def _fmt_seq(values) -> str:
     return ",".join(f"{v:.12g}" for v in np.asarray(values, dtype=float).ravel())
 
 
+def _check_image(name: str, image: np.ndarray, source: str) -> None:
+    """Fail, naming the image and its source, on pixels the blur, the weight
+    and the solver cannot take: NaN or infinite ones, or ones above
+    MAX_PIXEL in magnitude."""
+    bad = image.size - int(np.count_nonzero(np.isfinite(image)))
+    if bad:
+        raise ValueError(f"{name} has {bad} non-finite pixel"
+                         f"{'' if bad == 1 else 's'} (NaN or inf), from {source}")
+    lo, hi = float(image.min()), float(image.max())
+    if max(-lo, hi) > MAX_PIXEL:
+        raise ValueError(f"{name} spans [{lo:.6g}, {hi:.6g}], from {source}; "
+                         f"pixel magnitudes above {MAX_PIXEL:g} overflow the "
+                         "pipeline")
+
+
 def run_pipeline(cfg: dict, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     if (cfg["input"] is None) == (cfg["phantom"] is None):
@@ -222,12 +243,14 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
         raise ValueError(f"--trace directory {Path(cfg['trace']).parent} does not exist")
     t0 = time.perf_counter()
     if in_pipeline:
+        _check_image("clean image", clean, source)
         f = add_gaussian_noise(apply_blur(A, clean), cfg["noise_var"], cfg["seed"])
         imageio.save_raw_float(clean, out_dir / "clean.rf64")
     else:
         f = clean
     t_degrade = time.perf_counter() - t0
 
+    _check_image("observed image f", f, source)
     omega = weight.edge_weight(f, cfg["weight_sigma"], cfg["weight_varsigma"])
 
     t0 = time.perf_counter()

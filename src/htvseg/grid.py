@@ -5,8 +5,18 @@ indexed channel-last:
 
     Vec2Field : (m, n, 2)  -- (x, y) first-order gradient components
     Vec4Field : (m, n, 4)  -- (xx, xy, yx, yy) second-order components
+    Sym3Field : (m, n, 3)  -- (xx, xy, yy) symmetric second-order components
 
-but the fields this module makes (``grad``, ``grad2``, ``vector_zeros``) are
+A Sym3Field is a Vec4Field whose XY and YX components are equal, stored
+once: its xy plane stands for both. Every function here keys on the
+channel count, so a second-order field may come in either layout and the
+two agree: ``div2`` applies its mixed stencil to 2 p_xy, and
+``pixel_magnitude``, ``norm_l2`` and ``inner`` weight the xy plane by 2,
+so each equals its value on the expanded Vec4Field up to rounding. The
+solver keeps its second-order fields as Sym3Fields; ``grad2`` makes
+either layout.
+
+The fields this module makes (``grad``, ``grad2``, ``vector_zeros``) are
 stored planar: one C-contiguous (C, m, n) buffer, handed out as the
 channel-last view ``np.moveaxis(buf, 0, -1)``. Every channel ``p[..., k]``
 is then a contiguous plane, so the stencils, the shrinkage and the norms
@@ -27,9 +37,11 @@ Sign conventions exposed here:
     <grad2(u), p> = +<u, div2(p)>   (div2 is exactly the adjoint of grad2)
 
 The adjoints of grad2's XY and YX components are the same operator,
-D-y D+x, so ``div2`` applies it once to ``p_xy + p_yx``: three stencils,
-not four. ``grad2`` keeps all four components, each formed by its own
-composition of differences.
+D-y D+x, so ``div2`` applies it once to ``p_xy + p_yx`` (to ``2 p_xy`` on a
+Sym3Field): three stencils, not four. A Vec4Field from ``grad2`` forms
+each of its four components by its own composition of differences, so on
+non-dyadic data XY and YX may differ in their last bit; a Sym3Field forms
+XY alone, bit for bit as the Vec4Field does.
 
 A difference is one subtraction of the raveled field from itself shifted
 by the axis stride (n rows apart along x, one element along y), then one
@@ -44,8 +56,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Channel layout of a Vec4Field.
+# Channel layout of a Vec4Field. A Sym3Field shares XX and XY and keeps yy
+# last too, at index 2: ``p[..., -1]`` is the yy plane of either.
 XX, XY, YX, YY = 0, 1, 2, 3
+
+
+def _symmetric(p: np.ndarray) -> bool:
+    """Whether ``p`` is a Sym3Field, whose xy plane counts twice."""
+    return p.ndim == 3 and p.shape[-1] == 3
 
 
 def _planar(alloc, shape, channels: int) -> np.ndarray:
@@ -112,28 +130,35 @@ def grad(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad2(u: np.ndarray) -> np.ndarray:
+def grad2(u: np.ndarray, channels: int = 4) -> np.ndarray:
     """Second-order gradient of a scalar field.
 
     Components, in channel order (xx, xy, yx, yy):
 
         D-x(D+x u),  D-x(D+y u),  D+y(D-x u),  D+y(D-y u)
 
+    With ``channels=3`` the Sym3Field (xx, xy, yy) leaves out YX, the same
+    operator as XY; its planes are those of the Vec4Field, bit for bit.
+
     Parameters
     ----------
     u : (m, n) array
+    channels : 4 or 3
 
     Returns
     -------
-    (m, n, 4) planar array.
+    (m, n, channels) planar array.
     """
+    if channels not in (3, 4):
+        raise ValueError(f"grad2 makes 3 or 4 channels, not {channels}")
     u = np.asarray(u, dtype=float)
-    out = _planar(np.empty, u.shape, 4)
+    out = _planar(np.empty, u.shape, channels)
     scratch = np.empty(u.shape)
     diff_backward(diff_forward(u, 0, scratch), 0, out[..., XX])
     diff_backward(diff_forward(u, 1, scratch), 0, out[..., XY])
-    diff_forward(diff_backward(u, 0, scratch), 1, out[..., YX])
-    diff_forward(diff_backward(u, 1, scratch), 1, out[..., YY])
+    if channels == 4:
+        diff_forward(diff_backward(u, 0, scratch), 1, out[..., YX])
+    diff_forward(diff_backward(u, 1, scratch), 1, out[..., -1])
     return out
 
 
@@ -155,20 +180,24 @@ def div2(p: np.ndarray) -> np.ndarray:
     term is the adjoint of the matching grad2 component, with forward and
     backward differences swapped and composition order reversed. The XY
     and YX adjoints, D-y D+x and D+x D-y, are one operator, so it is
-    applied once, to p_xy + p_yx.
+    applied once, to p_xy + p_yx, or to 2 p_xy on a Sym3Field, which
+    therefore gives the bits of its expanded Vec4Field.
     """
     p = np.asarray(p, dtype=float)
     scratch = np.empty(p.shape[:-1])
     out = diff_backward(diff_forward(p[..., XX], 0, scratch), 0)
-    mixed = np.add(p[..., XY], p[..., YX], order="C")
+    other = p[..., XY] if _symmetric(p) else p[..., YX]
+    mixed = np.add(p[..., XY], other, order="C")
     out += diff_backward(diff_forward(mixed, 0, scratch), 1, mixed)
-    out += diff_forward(diff_backward(p[..., YY], 1, scratch), 1, mixed)
+    out += diff_forward(diff_backward(p[..., -1], 1, scratch), 1, mixed)
     return out
 
 
 def pixel_magnitude(p: np.ndarray, scratch: np.ndarray | None = None
                     ) -> np.ndarray:
-    """Per-pixel Euclidean magnitude of a vector field: (m, n) array.
+    """Per-pixel Euclidean magnitude of a vector field: (m, n) array. On a
+    Sym3Field it is sqrt(xx^2 + 2 xy^2 + yy^2), the magnitude of the
+    expanded Vec4Field.
 
     The squares are summed channel by channel, which needs no temporary of
     the vector field's size and is several times faster than a reduction
@@ -180,25 +209,39 @@ def pixel_magnitude(p: np.ndarray, scratch: np.ndarray | None = None
     if scratch is None:
         scratch = np.empty(acc.shape)
     for channel in range(1, p.shape[-1]):
-        acc += np.square(p[..., channel], out=scratch)
+        square = np.square(p[..., channel], out=scratch)
+        if channel == XY and _symmetric(p):
+            square *= 2.0
+        acc += square
     return np.sqrt(acc, out=acc)
 
 
 def norm_l2(a: np.ndarray) -> float:
     """l2 norm over all entries (pixels and channels alike). A 3-D array is
     a vector field, and its entries are summed channel by channel, so a
-    planar field is read in place, with no copy."""
+    planar field is read in place, with no copy. The xy plane of a
+    Sym3Field counts twice, once more after the others."""
     a = np.asarray(a, dtype=float)
+    symmetric = _symmetric(a)
     if a.ndim == 3:
         a = np.moveaxis(a, -1, 0)
-    flat = np.ascontiguousarray(a).ravel()
-    return float(np.sqrt(np.einsum("i,i->", flat, flat)))
+    planes = np.ascontiguousarray(a)
+    flat = planes.ravel()
+    total = np.einsum("i,i->", flat, flat)
+    if symmetric:
+        xy = planes[XY].ravel()
+        total += np.einsum("i,i->", xy, xy)
+    return float(np.sqrt(total))
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product summing elementwise products in row-major order."""
+    """Inner product summing elementwise products in row-major order. The
+    products of the xy planes of two Sym3Fields count twice."""
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
+    products = a * b
+    if _symmetric(products):
+        products[..., XY] *= 2.0
+    return float(np.sum(products))

@@ -9,7 +9,10 @@ weight. Splitting introduces q = grad2 g, v = grad g, z = g with duals
 b, c, d. Each outer iteration solves the g-subproblem exactly in the
 frequency domain, shrinks q and v in closed form, projects z onto the box,
 then accumulates the residuals into the duals. Unconstrained mode drops
-z, d and the mu3 coupling entirely.
+z, d and the mu3 coupling entirely. q, b and grad2 g are symmetric
+(xx, xy, yy) fields, three planes rather than four, since grad2's XY and
+YX components are one operator; the steps take the layout of b, so a
+four-channel q and b work too (see ``grid``).
 
 The penalties mu1, mu2, mu3 of SolverParams are starting values. Every
 BALANCE_EVERY iterations ``run`` balances each block's penalty against its
@@ -165,15 +168,17 @@ class ConvergenceReport:
 def init_state(f: np.ndarray, params: SolverParams) -> SolverState:
     """Start from g = f with zero auxiliaries and duals; the box iterate
     starts at the projection of f (the first z-update would produce it from
-    d = 0 anyway). The vector fields are planar, as grid makes them."""
+    d = 0 anyway). The vector fields are planar, as grid makes them, and q
+    and b are symmetric (xx, xy, yy) fields, since grad2's XY and YX
+    components are one operator."""
     f = np.asarray(f, dtype=float)
     constrained = params.constrained
     return SolverState(
         g=f.copy(),
-        q=grid.vector_zeros(f.shape, 4),
+        q=grid.vector_zeros(f.shape, 3),
         v=grid.vector_zeros(f.shape, 2),
         z=np.clip(f, 0.0, params.iota) if constrained else None,
-        b=grid.vector_zeros(f.shape, 4),
+        b=grid.vector_zeros(f.shape, 3),
         c=grid.vector_zeros(f.shape, 2),
         d=np.zeros(f.shape) if constrained else None,
     )
@@ -188,7 +193,7 @@ def _operator_symbol(op, shape) -> np.ndarray:
 
 def _laplacian_symbols(shape) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectrum symbols (L1, L2) of div2 grad2 and div grad."""
-    return (_operator_symbol(lambda u: grid.div2(grid.grad2(u)), shape),
+    return (_operator_symbol(lambda u: grid.div2(grid.grad2(u, 3)), shape),
             _operator_symbol(lambda u: grid.div(grid.grad(u)), shape))
 
 
@@ -268,15 +273,18 @@ def update_q(state: SolverState, params: SolverParams, omega: np.ndarray,
     """Shrink b + grad2 g with per-pixel threshold lam*(1 - w)/mu1.
 
     The result overwrites state.q (the old q is dead once g is solved) and
-    is returned. ``grad2_g`` is grad2 of state.g and ``threshold`` is
-    lam*(1 - w)/mu1; each is computed here if not given.
+    is returned. It takes the layout of b, symmetric (xx, xy, yy) or four
+    channels, and a q of the other layout is replaced. ``grad2_g`` is grad2
+    of state.g in that layout and ``threshold`` is lam*(1 - w)/mu1; each is
+    computed here if not given.
     """
     if grad2_g is None:
-        grad2_g = grid.grad2(state.g)
+        grad2_g = grid.grad2(state.g, state.b.shape[-1])
     if threshold is None:
         threshold = params.lam * (1.0 - omega) / params.mu1
-    h = np.add(state.b, grad2_g, out=state.q)
-    return _shrink(h, threshold)
+    q = state.q if state.q.shape == state.b.shape else None
+    state.q = _shrink(np.add(state.b, grad2_g, out=q), threshold)
+    return state.q
 
 
 def update_v(state: SolverState, params: SolverParams, omega: np.ndarray,
@@ -313,7 +321,7 @@ def update_duals(state: SolverState
     block's update, and in an over-relaxed iteration the dual has already
     taken (RELAXATION - 1)(K g - a_old) before the update, so that the two
     together ascend by the relaxed residual h - a_new."""
-    state.b += grid.grad2(state.g) - state.q
+    state.b += grid.grad2(state.g, state.b.shape[-1]) - state.q
     state.c += grid.grad(state.g) - state.v
     if state.d is not None:
         state.d += state.g - state.z
@@ -377,7 +385,7 @@ def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
     (box indicator omitted; the caller knows which iterates are feasible).
     Each gradient of u is freed once its term is summed."""
     data = _data_term(u, f, A)
-    t2 = _tv_term(grid.grad2(u), omega, True)
+    t2 = _tv_term(grid.grad2(u, 3), omega, True)
     t1 = _tv_term(grid.grad(u), omega, False)
     return data + params.lam * t2 + params.gamma * t1
 
@@ -435,7 +443,7 @@ def _block_table(state: SolverState, params: SolverParams,
     """``run``'s block table for the penalties of ``params``: the q and v
     updates with their shrink thresholds lam*(1 - w)/mu1 and gamma*w/mu2,
     and, in constrained mode, the z update, each with its signed penalty."""
-    blocks = [_Block(grid.grad2,
+    blocks = [_Block(partial(grid.grad2, channels=state.q.shape[-1]),
                      partial(update_q, state, params, omega,
                              threshold=params.lam * (1.0 - omega) / params.mu1),
                      state.b, state.q, grid.div2, params.mu1,
@@ -551,17 +559,18 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     takes the block's primal residual for its norm and its dual update, and
     is freed before the next block forms its own, so grad2 g and grad g are
     never alive together. The working set, in (m, n) float planes, is the
-    15 of the state (g, z, d one each, v and c two, q and b four) and the
-    run's constants (the shrink thresholds, two; the g-solve's symbol and
-    the two Laplacian symbols, half-spectra of about half a plane each; A* f
-    with blur, one, while for the identity it is f itself), plus the
-    transients of the step in hand: at most seven, in the q block (grad2 g,
-    a bracket plane, the shrink's magnitude and scale) and in the g-solve
-    (q - b and div2's three). The state, the block table and the symbols
-    are freed before the final iterate's energy. A* f and the
-    symbols of div2 grad2 and div grad are computed once per run. An image
-    without pixels and non-finite pixels in f or omega raise ValueError up
-    front.
+    13 of the state (g, z, d one each, v and c two, q and b three, as
+    symmetric (xx, xy, yy) fields) and the run's constants (the shrink
+    thresholds, two; the g-solve's symbol and the two Laplacian symbols,
+    half-spectra of about half a plane each; A* f with blur, one, while for
+    the identity it is f itself), plus the transients of the step in hand:
+    at most six, in the q block (grad2 g's three, a bracket plane, the
+    shrink's magnitude and scale) and in the g-solve (q - b's three and
+    div2's three), about 23 planes in all at 512^2. The state, the block
+    table and the symbols are freed before the final iterate's energy. A* f
+    and the symbols of div2 grad2 and div grad are computed once per run.
+    An image without pixels and non-finite pixels in f or omega raise
+    ValueError up front.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:

@@ -2,6 +2,7 @@
 runs over a temp directory."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,34 @@ def test_main_rejects_non_finite_input(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "f has 1 non-finite pixel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value,flags,name", [
+    (1e308, [], "observed image f spans [0.5, 1e+308]"),
+    (-1e308, [], "observed image f spans [-1e+308, 0.9]"),
+    (1e308, ["--apply-degrade", "--degrade", "gaussian,5,5"],
+     "clean image spans [0.5, 1e+308]"),
+])
+def test_main_rejects_huge_pixel_before_the_weight(tmp_path, capsys, value,
+                                                   flags, name):
+    """A finite pixel too large to square fails up front, naming the input
+    and its range, with no overflow warning from the blur, the weight or
+    the solver and no artifact written."""
+    image = np.full((32, 32), 0.5)
+    image[8:24, 8:24] = 0.9
+    image[3, 4] = value
+    path = tmp_path / "f.rf64"
+    imageio.save_raw_float(image, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--input", str(path), "--max-iter", "5",
+                       "--out-dir", str(out), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{name}, from {path}" in err
+    assert "above 1e+100" in err and "omega" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_main_names_a_constant_restoration(tmp_path, capsys):

@@ -232,7 +232,7 @@ def test_vector_fields_are_planar(shape):
     channel is a C-contiguous plane."""
     u = np.random.default_rng(1).normal(size=shape)
     for p, channels in ((grid.grad(u), 2), (grid.grad2(u), 4),
-                        (grid.vector_zeros(shape, 4), 4)):
+                        (grid.grad2(u, 3), 3), (grid.vector_zeros(shape, 4), 4)):
         assert p.shape == shape + (channels,)
         assert planes_contiguous(p)
         assert not p.flags.c_contiguous or shape == (1, 1)
@@ -243,10 +243,10 @@ def test_operators_agree_on_planar_and_channel_last(shape):
     """Every operator gives bit-identical results on a planar field and on
     its channel-last copy, and on a strided plane and its contiguous copy."""
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
-    p2, p4 = grid.vector_zeros(shape, 2), grid.vector_zeros(shape, 4)
-    p2[...] = rng.normal(size=p2.shape)
-    p4[...] = rng.normal(size=p4.shape)
-    for p in (p2, p4):
+    p2, p3, p4 = (grid.vector_zeros(shape, c) for c in (2, 3, 4))
+    for p in (p2, p3, p4):
+        p[...] = rng.normal(size=p.shape)
+    for p in (p2, p3, p4):
         last = np.ascontiguousarray(p)
         assert last.flags.c_contiguous and not planes_contiguous(last)
         for op in (grid.pixel_magnitude, grid.norm_l2,
@@ -293,3 +293,33 @@ def test_div2_reads_only_the_sum_of_the_mixed_channels():
     expected = grid.div2(p)
     assert np.array_equal(grid.div2(swapped), expected)
     assert np.array_equal(grid.div2(moved), expected)
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (16, 16), (1, 5)])
+def test_symmetric_layout_matches_four_channels(shape):
+    """A symmetric (xx, xy, yy) field and its expansion (xx, xy, xy, yy)
+    agree under every operator, on data whose XY and YX differ in rounding
+    (a field with a dyadic grid of values would hide that): grad2 and div2
+    bit for bit, the magnitude and the norms to rounding, and grad2/div2
+    stay adjoint under ``inner`` on three channels."""
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    u = rng.uniform(0.0, 1.0, size=shape) / 3.0
+    four = grid.grad2(u)
+    three = grid.grad2(u, 3)
+    if shape == (16, 16):
+        assert np.count_nonzero(four[..., grid.XY] != four[..., grid.YX]) > u.size // 10
+    for k, channel in enumerate((grid.XX, grid.XY, grid.YY)):
+        assert np.array_equal(three[..., k], four[..., channel])
+    with pytest.raises(ValueError, match="3 or 4 channels"):
+        grid.grad2(u, 2)
+
+    p, r = (rng.normal(size=shape + (3,)) / 3.0 for _ in range(2))
+    expanded, r_expanded = (a[..., [0, 1, 1, 2]] for a in (p, r))
+    assert np.array_equal(grid.div2(p), grid.div2(expanded))
+    assert np.allclose(grid.pixel_magnitude(p), grid.pixel_magnitude(expanded),
+                       rtol=1e-15, atol=0.0)
+    assert grid.norm_l2(p) == pytest.approx(grid.norm_l2(expanded), rel=1e-14)
+    assert grid.inner(p, r) == pytest.approx(grid.inner(expanded, r_expanded),
+                                             rel=1e-12)
+    lhs, rhs = grid.inner(grid.grad2(u, 3), p), grid.inner(u, grid.div2(p))
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))

@@ -128,10 +128,10 @@ def test_update_q_pinned_example():
     f = np.zeros((3, 3))
     params = SolverParams(lam=2.0, gamma=1.0)
     state = restore.init_state(f, params)
-    state.b[1, 1] = (3.0, 4.0, 0.0, 0.0)
+    state.b[1, 1] = (3.0, 0.0, 4.0)     # (xx, xy, yy)
     omega = np.full((3, 3), 0.5)
     q = restore.update_q(state, params, omega)
-    assert np.allclose(q[1, 1], (2.4, 3.2, 0.0, 0.0), atol=1e-12)
+    assert np.allclose(q[1, 1], (2.4, 0.0, 3.2), atol=1e-12)
     q_zero = restore.update_q(restore.init_state(f, params), params, omega)
     assert np.all(q_zero == 0.0)
 
@@ -215,13 +215,13 @@ def test_update_duals_first_step_and_telescoping():
 
     # zero residuals leave duals untouched
     frozen = restore.init_state(f, params)
-    frozen.q = grid.grad2(frozen.g)
+    frozen.q = grid.grad2(frozen.g, 3)
     frozen.v = grid.grad(frozen.g)
     frozen.z = frozen.g.copy()
     b, c, d = restore.update_duals(frozen)
     assert np.all(b == 0.0) and np.all(c == 0.0) and np.all(d == 0.0)
 
-    tele_b = np.zeros((6, 6, 4))
+    tele_b = np.zeros((6, 6, 3))
     tele_c = np.zeros((6, 6, 2))
     tele_d = np.zeros((6, 6))
     for k in range(3):
@@ -229,7 +229,7 @@ def test_update_duals_first_step_and_telescoping():
         state.q = restore.update_q(state, params, omega)
         state.v = restore.update_v(state, params, omega)
         state.z = restore.update_z(state, params)
-        tele_b += grid.grad2(state.g) - state.q
+        tele_b += grid.grad2(state.g, 3) - state.q
         tele_c += grid.grad(state.g) - state.v
         tele_d += state.g - state.z
         state.b, state.c, state.d = restore.update_duals(state)
@@ -324,7 +324,7 @@ def test_solve_g_consistent_couplings_reproduce_f():
     f = rng.uniform(0.0, 1.0, size=(8, 8))
     params = SolverParams(lam=0.0, gamma=0.0, mu1=2.0, mu2=0.7, mu3=1.3)
     state = restore.init_state(f, params)
-    state.q = grid.grad2(f)
+    state.q = grid.grad2(f, 3)
     state.v = grid.grad(f)
     state.z = f.copy()
     g = restore.solve_g(state, params, LinearOperatorA.identity(f.shape), f)
@@ -420,7 +420,8 @@ def relative(num, den):
 
 def reference_loop(f, A, params, omega):
     """The iteration as public step functions called with their defaults,
-    so that each recomputes the gradients, A* f and the symbol it needs;
+    so that each recomputes the gradients, A* f and the symbol it needs
+    (grad2 g here in the state's symmetric (xx, xy, yy) layout);
     after iteration BALANCE_EVERY, each block's dual first takes the
     relaxation's step (RELAXATION - 1)(K g - a_old), in place. Every
     BALANCE_EVERY-th iteration but the last, the relative residuals
@@ -440,7 +441,7 @@ def reference_loop(f, A, params, omega):
         state.g = restore.solve_g(state, params, A, f)
         alpha = restore.RELAXATION if k > restore.BALANCE_EVERY else 1.0
         if alpha != 1.0:
-            state.b += (alpha - 1.0) * (grid.grad2(state.g) - state.q)
+            state.b += (alpha - 1.0) * (grid.grad2(state.g, 3) - state.q)
             state.c += (alpha - 1.0) * (grid.grad(state.g) - state.v)
             if params.constrained:
                 state.d += (alpha - 1.0) * (state.g - state.z)
@@ -448,7 +449,7 @@ def reference_loop(f, A, params, omega):
         state.v = restore.update_v(state, params, omega)
         if params.constrained:
             state.z = restore.update_z(state, params)
-        res.append((grid.norm_l2(grid.grad2(state.g) - state.q),
+        res.append((grid.norm_l2(grid.grad2(state.g, 3) - state.q),
                     grid.norm_l2(grid.grad(state.g) - state.v),
                     grid.norm_l2(state.g - state.z) if params.constrained else np.nan))
         state.b, state.c, state.d = restore.update_duals(state)
@@ -460,7 +461,7 @@ def reference_loop(f, A, params, omega):
         stationary.append((np.nan, np.nan))
         if not (balancing or k == 1):
             continue
-        blocks = [(grid.grad2(state.g), state.q, grid.div2(state.q - previous[0]),
+        blocks = [(grid.grad2(state.g, 3), state.q, grid.div2(state.q - previous[0]),
                    grid.div2(state.b)),
                   (grid.grad(state.g), state.v, grid.div(state.v - previous[1]),
                    grid.div(state.c))]
@@ -476,7 +477,7 @@ def reference_loop(f, A, params, omega):
         dual_norms[-1] = grid.norm_l2(s)
         s = (apply_adjoint(A, f - apply(A, state.g))
              - params.mu1 * grid.div2(state.b) + params.mu2 * grid.div(state.c))
-        relaxation = (params.mu1 * grid.div2(grid.grad2(state.g) - previous[0])
+        relaxation = (params.mu1 * grid.div2(grid.grad2(state.g, 3) - previous[0])
                       - params.mu2 * grid.div(grid.grad(state.g) - previous[1]))
         if params.constrained:
             s -= params.mu3 * state.d
@@ -617,14 +618,15 @@ def test_run_leaves_its_inputs_alone(blur, constrained):
     assert not np.shares_memory(restored, f)
 
 
-def test_run_working_set_stays_within_28_planes():
-    """The tracemalloc peak of run, in planes of f: the state's 15, the
-    run's constants (the shrink thresholds, the symbols, A* f under blur)
-    and the transients of one step, since each block's K g is freed before
-    the next block forms its own. A 128^2 three-phase phantom under
-    gaussian,5,5 blur, bracketed on iterations 1, 5 and 10 and relaxed from
-    6, peaks at 26.8 planes; the differences buffer no strided slices, and
-    holding grad2 g and grad g together would add two planes."""
+def test_run_working_set_stays_within_25_planes():
+    """The tracemalloc peak of run, in planes of f: the state's 13 (q and b
+    are symmetric three-plane fields), the run's constants (the shrink
+    thresholds, the symbols, A* f under blur) and the transients of one
+    step, since each block's K g is freed before the next block forms its
+    own. A 128^2 three-phase phantom under gaussian,5,5 blur, bracketed on
+    iterations 1, 5 and 10 and relaxed from 6, peaks at 23.8 planes; the
+    differences buffer no strided slices, holding grad2 g and grad g
+    together would add two planes, and four-plane q, b and grad2 g three."""
     ph = make_three_phase(128, 128)
     A = LinearOperatorA.convolution(gaussian_kernel(5, 5.0), ph.image.shape)
     f = add_gaussian_noise(apply(A, ph.image), 0.01, seed=3)
@@ -638,7 +640,7 @@ def test_run_working_set_stays_within_28_planes():
         tracemalloc.stop()
     assert report.iterations == 11
     assert np.count_nonzero(~np.isnan(report.res_dual)) == 3
-    assert peak <= 28 * f.nbytes
+    assert peak <= 25 * f.nbytes
 
 
 def test_state_vector_fields_stay_planar():
