@@ -153,21 +153,29 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     if distinct < k:
         raise ValueError(f"need at least {k} distinct values, got {distinct}")
 
-    centered = xs - xs.mean()
-    centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
-    s1 = np.concatenate(([0.0], np.cumsum(centered)))
-    s2 = np.concatenate(([0.0], np.cumsum(centered * centered)))
+    # Prefix sums s1 of the scaled centered values and s2 of their squares,
+    # each formed in place behind its leading 0.
+    s1, s2, e = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    s1[0] = s2[0] = 0.0
+    centered = np.subtract(xs, xs.mean(), out=s1[1:])
+    top = max(-float(centered.min()), float(centered.max()))
+    np.ldexp(centered, -np.frexp(top)[1], out=centered)
+    np.cumsum(np.square(centered, out=s2[1:]), out=s2[1:])
+    np.cumsum(centered, out=centered)
     # cost of the best c-segment split of xs[:i] is s2[i] + best_c[i];
     # e[j] = cost_{c-1}(j) - s2[j] is what layer c minimizes over splits j
-    e = np.full(n + 1, np.inf)
-    e[1:] = -s1[1:] ** 2 / np.arange(1, n + 1)
+    e[0] = np.inf
+    np.negative(np.square(s1[1:], out=e[1:]), out=e[1:])
+    e[1:] /= np.arange(1.0, n + 1)
     splits = []
     for c in range(2, k):
         e, arg = _split_layer(e, s1, c, n - k + c, s2 if c == k - 1 else None)
         splits.append(arg)
-    j = np.arange(k - 1, n)
+    # The tail segment starts after a split the last inner layer solved
+    # (e is inf elsewhere), or, for k = 2, after any of xs[:n-1].
+    j = np.flatnonzero(np.isfinite(e)) if k > 2 else np.arange(1, n)
     last = e[j] - (s1[n] - s1[j]) ** 2 / (n - j)
-    bounds = [n, k - 1 + int(np.argmin(last))]
+    bounds = [n, int(j[np.argmin(last)])]
     for arg in reversed(splits):
         bounds.append(int(arg[bounds[-1]]))
     bounds.append(0)

@@ -60,6 +60,31 @@ import numpy as np
 # last too, at index 2: ``p[..., -1]`` is the yy plane of either.
 XX, XY, YX, YY = 0, 1, 2, 3
 
+# Largest pixel magnitude an image may have. The edge weight, the data
+# term and the residual norms square pixel differences and sum them over
+# the grid, which overflows from about 1e150 on; real intensities are
+# nowhere near either.
+MAX_PIXEL = 1e100
+
+
+def check_pixels(name: str, image: np.ndarray, source: str | None = None
+                 ) -> None:
+    """Raise ValueError, naming the image ``name`` and, when given, the
+    ``source`` it came from, when it holds NaN or infinite pixels, counting
+    them, or pixels above MAX_PIXEL in magnitude, giving its range. A
+    valid image costs two reductions: NaN propagates through both."""
+    image = np.asarray(image, dtype=float)
+    lo, hi = float(np.min(image)), float(np.max(image))
+    if -MAX_PIXEL <= lo and hi <= MAX_PIXEL:
+        return
+    origin = "" if source is None else f", from {source}"
+    bad = image.size - int(np.count_nonzero(np.isfinite(image)))
+    if bad:
+        raise ValueError(f"{name} has {bad} non-finite pixel"
+                         f"{'' if bad == 1 else 's'} (NaN or inf){origin}")
+    raise ValueError(f"{name} spans [{lo:.6g}, {hi:.6g}]{origin}; pixel "
+                     f"magnitudes above {MAX_PIXEL:g} overflow the pipeline")
+
 
 def _symmetric(p: np.ndarray) -> bool:
     """Whether ``p`` is a Sym3Field, whose xy plane counts twice."""

@@ -54,11 +54,13 @@ the old value is dead by the time it runs, and returns it.
 the rows as a ``ConvergenceReport``. It forms the dual residual and the
 objective only on the iterations that read them.
 
-The frequency-domain denominator is built from delta responses of the very
-same grid stencils used in the spatial domain, so the solve is exact to
-rounding, not merely to an analytic symbol's transcription. Fields are
-real, so the solve uses the ``rfft2``/``irfft2`` pair and the symbol's
-half-spectrum.
+The frequency-domain denominator is built from 1-D delta responses of the
+very same grid stencils used in the spatial domain, so the solve is exact
+to rounding, not merely to an analytic symbol's transcription: the symbol
+of div grad is the outer sum of the second difference's symbols along x
+and y, and that of div2 grad2 its square, since div2 grad2 = (div grad)^2
+for these periodic stencils. Fields are real, so the solve uses the
+``rfft2``/``irfft2`` pair and the symbol's half-spectrum.
 """
 
 from __future__ import annotations
@@ -184,17 +186,26 @@ def init_state(f: np.ndarray, params: SolverParams) -> SolverState:
     )
 
 
-def _operator_symbol(op, shape) -> np.ndarray:
-    """Half-spectrum symbol of a periodic stencil via its delta response."""
-    delta = np.zeros(shape)
+def _second_difference_symbol(size: int, transform) -> np.ndarray:
+    """Symbol of the periodic second difference D- D+ on ``size`` points,
+    the ``transform`` of the delta response of the grid's own stencils."""
+    delta = np.zeros((1, size))
     delta[0, 0] = 1.0
-    return np.fft.rfft2(op(delta)).real.copy()
+    response = grid.diff_backward(grid.diff_forward(delta, 1), 1)
+    return transform(response[0]).real
 
 
 def _laplacian_symbols(shape) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum symbols (L1, L2) of div2 grad2 and div grad."""
-    return (_operator_symbol(lambda u: grid.div2(grid.grad2(u, 3)), shape),
-            _operator_symbol(lambda u: grid.div(grid.grad(u)), shape))
+    """Half-spectrum symbols (L1, L2) of div2 grad2 and div grad, shape
+    (m, n//2 + 1). div grad is D-x D+x + D-y D+y, so L2 is the outer sum of
+    the 1-D symbols of the second difference along x (full spectrum) and y
+    (half); each is real and <= 0. div2 grad2 = (div grad)^2 for these
+    periodic stencils: its mixed term is the adjoint of D-x D+y applied to
+    itself, twice, with symbol 2 |D-x|^2 |D+y|^2 = 2 L2x L2y, so L1 = L2^2."""
+    m, n = shape
+    L2 = np.add.outer(_second_difference_symbol(m, np.fft.fft),
+                      _second_difference_symbol(n, np.fft.rfft))
+    return np.square(L2), L2
 
 
 def g_denominator(A: LinearOperatorA, params: SolverParams,
@@ -408,13 +419,6 @@ def _tv_term(p: np.ndarray, omega: np.ndarray, second_order: bool) -> float:
     return float(np.sum(np.multiply(weight, mag, out=mag)))
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
-    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
-    if bad:
-        raise ValueError(f"{name} has {bad} non-finite pixel"
-                         f"{'' if bad == 1 else 's'} (NaN or inf)")
-
-
 def _relative(num: float, den: float) -> float:
     """num / den for norms, with 0/0 read as 0 and num/0 as inf."""
     if num == 0.0:
@@ -460,7 +464,8 @@ def _block_table(state: SolverState, params: SolverParams,
 
 
 def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
-                   balancing: bool) -> tuple[list, list, float, list, list]:
+                   balancing: bool, evaluate: bool
+                   ) -> tuple[list, list, float, list, list]:
     """Update the blocks of the table ``blocks`` in turn. Each block forms
     its K g; with ``relax`` its dual first takes the relaxation's step
     (RELAXATION - 1)(K g - a), formed in a, which the update overwrites;
@@ -468,12 +473,12 @@ def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
     to its dual, and frees K g before the next block forms its own. The
     residual of z, whose K g is g itself, takes a plane of its own. With
     ``bracket`` the update is bracketed by K^T a, and the signed K^T da are
-    summed into s in place. With ``balancing`` each block records |K g| and
-    its term of the objective.
+    summed into s in place. With ``balancing`` each block records |K g|,
+    and with ``evaluate`` its term of the objective.
 
     Returns the raw primal residual norms, the norms |K^T da| and |s| (or
-    [] and NaN unbracketed), and the norms |K g| and the objective's terms
-    (or [] and [] off balancing)."""
+    [] and NaN unbracketed), the norms |K g| (or [] off balancing) and the
+    objective's terms (or [] unevaluated)."""
     raw, steps, sizes, terms, s = [], [], [], [], None
     for K, update, dual, auxiliary, adjoint, mu, energy in blocks:
         if bracket:
@@ -481,8 +486,8 @@ def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
         kg = K(g)
         if balancing:
             sizes.append(grid.norm_l2(kg))
-            if energy is not None:
-                terms.append(energy(kg))
+        if evaluate and energy is not None:
+            terms.append(energy(kg))
         if relax:
             np.subtract(kg, auxiliary, out=auxiliary)
             auxiliary *= RELAXATION - 1.0
@@ -541,11 +546,14 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     thresholds and signed penalties, and the g-solve's symbol are built at
     the start; the table is rebuilt when a penalty changes, and the symbol
     with it. params.mu1..3 are the starting penalties. The objective is
-    evaluated on balancing iterations, from the data term and each block's
-    K g, and for the final iterate by :func:`objective`; report.objective
-    is NaN on the others. Every iteration after iteration BALANCE_EVERY is
-    over-relaxed by RELAXATION, as the module docstring describes; the
-    residuals it reports and stops on are the unrelaxed ones.
+    evaluated on balancing iterations and on iteration max_iter, from the
+    data term and each block's K g, the terms :func:`objective` sums, so
+    bit for bit its value; only a run that stops by tolerance off the
+    balancing schedule calls :func:`objective` for its final iterate.
+    report.objective is NaN on the other iterations. Every iteration after
+    iteration BALANCE_EVERY is over-relaxed by RELAXATION, as the module
+    docstring describes; the residuals it reports and stops on are the
+    unrelaxed ones.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
@@ -567,10 +575,11 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     at most six, in the q block (grad2 g's three, a bracket plane, the
     shrink's magnitude and scale) and in the g-solve (q - b's three and
     div2's three), about 23 planes in all at 512^2. The state, the block
-    table and the symbols are freed before the final iterate's energy. A* f
-    and the symbols of div2 grad2 and div grad are computed once per run.
-    An image without pixels and non-finite pixels in f or omega raise
-    ValueError up front.
+    table and the symbols are freed before that call to :func:`objective`.
+    A* f and the symbols of div2 grad2 and div grad are computed once per
+    run. An image without pixels, and NaN or infinite pixels in f or omega
+    or pixels above ``grid.MAX_PIXEL`` in magnitude, raise ValueError up
+    front, naming the input.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -582,8 +591,8 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         raise ValueError(f"weight shape {omega.shape} does not match image {f.shape}")
     if A.shape != f.shape:
         raise ValueError(f"operator grid {A.shape} does not match image {f.shape}")
-    _require_finite("observed image f", f)
-    _require_finite("edge weight omega", omega)
+    grid.check_pixels("observed image f", f)
+    grid.check_pixels("edge weight omega", omega)
     if not A.invertible:
         warnings.warn("degradation operator has (near-)zero transfer coefficients; "
                       "the minimizer may not be unique", RuntimeWarning)
@@ -604,16 +613,17 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
 
     for k in range(1, params.max_iter + 1):
         balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
+        evaluate = balancing or k == params.max_iter
         bracketed = balancing or k == check_at
         state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
         raw, steps, rs, sizes, terms = _update_blocks(
-            blocks, state.g, k > BALANCE_EVERY, bracketed, balancing)
+            blocks, state.g, k > BALANCE_EVERY, bracketed, balancing, evaluate)
         rq, rv, rz = raw if params.constrained else (*raw, np.nan)
         energy = (_data_term(state.g, f, A) + params.lam * terms[0]
-                  + params.gamma * terms[1] if balancing else np.nan)
+                  + params.gamma * terms[1] if evaluate else np.nan)
 
         primal_pass = max(raw) <= tolerance
         if primal_pass and not primal_passed and not bracketed:

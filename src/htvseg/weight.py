@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .degrade import _convolve, _sampled_gaussian
-from .grid import grad
+from .grid import check_pixels, grad
 
 DEFAULT_SIGMA = 1.0
 DEFAULT_CONTRAST = 10.0
@@ -62,10 +62,19 @@ def gaussian_smooth(f: np.ndarray, sigma: float) -> np.ndarray:
 
 def edge_weight(f: np.ndarray, sigma: float = DEFAULT_SIGMA,
                 contrast: float = DEFAULT_CONTRAST) -> np.ndarray:
-    """Edge-indicator field w = 1 / (1 + contrast * |grad f_sigma|^2), in (0, 1]."""
+    """Edge-indicator field w = 1 / (1 + contrast * |grad f_sigma|^2), in (0, 1].
+
+    An f with NaN or infinite pixels, or pixels above ``grid.MAX_PIXEL`` in
+    magnitude, whose squares would overflow, raises ValueError naming it.
+    |grad f_sigma|^2 and w are formed in the planes of f_sigma and of the
+    gradient's y component, with the bits of the expression above."""
     if not 0 <= contrast < np.inf:
         raise ValueError(f"contrast must be finite and >= 0, got {contrast}")
+    check_pixels("image f", f)
     fs = gaussian_smooth(f, sigma)
     p = grad(fs)
-    mag2 = p[..., 0] ** 2 + p[..., 1] ** 2
-    return 1.0 / (1.0 + contrast * mag2)
+    w = np.square(p[..., 0], out=fs)
+    w += np.square(p[..., 1], out=p[..., 1])
+    w *= contrast
+    w += 1.0
+    return np.divide(1.0, w, out=w)

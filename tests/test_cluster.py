@@ -324,3 +324,39 @@ def test_kmeans_extreme_value_scales(scale):
         warnings.simplefilter("error")
         res = cluster.kmeans_1d(values, 3)
     assert np.allclose(res.centers / scale, [1.0, 11.0, 31.0], rtol=1e-12, atol=0.0)
+
+
+@pytest.fixture(scope="module")
+def restoration_512():
+    """The stretched 5-iteration restoration of a noisy 512x512 three-phase
+    phantom, as the CLI clusters it."""
+    from htvseg import add_gaussian_noise, edge_weight, make_three_phase, restore
+    from htvseg.degrade import LinearOperatorA
+
+    f = add_gaussian_noise(make_three_phase(512, 512, 0.3, 0.5, 0.7).image, 0.1, seed=3)
+    restored, _ = restore.run(f, LinearOperatorA.identity(f.shape),
+                              restore.SolverParams(lam=0.1, gamma=1.95, max_iter=5),
+                              edge_weight(f))
+    return cluster.stretch(restored).ravel()
+
+
+@pytest.mark.parametrize("kind,k", [("two-valued", 2), *(
+    (kind, k) for kind in ("first", "ties", "restoration") for k in (2, 3, 4, 5))])
+def test_kmeans_scans_only_solved_end_points(restoration_512, kind, k):
+    """The final scan runs over the end points the bounded last inner layer
+    solved (all of them for k = 2); centers and wcss are bit-equal to the
+    full layers' scan of every split. On "first", k - 1 single low values
+    under a block of equal ones, the tail starts at the first end point."""
+    rng = np.random.default_rng([12, k])
+    if kind == "two-valued":
+        values = np.where(rng.uniform(size=5000) < 0.3, 0.25, 0.75)
+    elif kind == "first":
+        values = np.concatenate((np.arange(k - 1) / 8, np.ones(1000)))
+    elif kind == "ties":
+        values = np.round(rng.uniform(0.0, 1.0, size=20_000) * 8) / 8
+    else:
+        values = restoration_512
+    res = cluster.kmeans_1d(values, k)
+    centers, wcss = unbounded_kmeans(values, k)
+    assert np.array_equal(res.centers, centers)
+    assert res.wcss == wcss

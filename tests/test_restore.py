@@ -4,6 +4,7 @@ prox oracle for the shrinkages, telescoping duals, run() behavior."""
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,30 @@ def test_g_denominator_identity_matches_delta_kernel(constrained):
     params = SolverParams(lam=0.1, gamma=1.0, constrained=constrained)
     assert np.array_equal(restore.g_denominator(A, params),
                           restore.g_denominator(delta, params))
+
+
+def delta_symbol(op, shape):
+    """Half-spectrum symbol of a periodic operator from its 2-D delta
+    response."""
+    delta = np.zeros(shape)
+    delta[0, 0] = 1.0
+    return np.fft.rfft2(op(delta)).real
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (5, 1), (2, 2), (7, 5), (64, 48),
+                                   (512, 512)])
+def test_laplacian_symbols_match_delta_responses(shape):
+    """The symbols built from 1-D second differences, L2 as their outer sum
+    and L1 = L2^2, match the 2-D delta responses of div2 grad2 (symmetric
+    field) and div grad to rounding."""
+    L1, L2 = restore._laplacian_symbols(shape)
+    half = (shape[0], shape[1] // 2 + 1)
+    assert L1.shape == L2.shape == half
+    ref1 = delta_symbol(lambda u: grid.div2(grid.grad2(u, 3)), shape)
+    ref2 = delta_symbol(lambda u: grid.div(grid.grad(u)), shape)
+    for got, ref in ((L1, ref1), (L2, ref2)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    assert np.all(L1 >= 0.0) and np.all(L2 <= 0.0)
 
 
 def prox_magnitude_oracle(a, mu, w):
@@ -520,6 +545,46 @@ def test_run_matches_step_function_loop(blur, constrained, shape):
     assert not np.isnan(report.objective[-1])
 
 
+@pytest.mark.parametrize("blur,constrained", [("none", True), ("none", False),
+                                               ("gaussian,5,5", True)])
+def test_run_takes_final_energy_from_its_last_iteration(monkeypatch, blur,
+                                                        constrained):
+    """A run that ends at max_iter reports, as its last energy, the
+    objective of its last g, bit for bit, from that iteration's own K g:
+    after its last g-solve it forms grad2 g and grad g once each, in the
+    block loop, and no more."""
+    calls, iterates = [], []
+
+    def logging(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            result = fn(*args, **kwargs)
+            if name == "solve_g":
+                iterates.append(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(restore, "solve_g", logging("solve_g", restore.solve_g))
+    for name in ("grad2", "grad"):
+        monkeypatch.setattr(grid, name, logging(name, getattr(grid, name)))
+    shape = (12, 16)
+    rng = np.random.default_rng(27)
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=7,
+                          constrained=constrained)
+    _, report = restore.run(f, A, params, omega)
+    assert report.termination == "max_iter"
+    assert calls.count("solve_g") == len(iterates) == params.max_iter
+    assert calls[len(calls) - 1 - calls[::-1].index("solve_g"):] == [
+        "solve_g", "grad2", "grad"]
+    monkeypatch.undo()
+    assert report.objective[-1] == restore.objective(iterates[-1], f, A, params,
+                                                     omega)
+
+
 @pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
 def test_dual_residual_matches_difference_form(blur):
     """run takes s in the difference form mu1 div2(dq) - mu2 div(dv) +
@@ -759,16 +824,44 @@ def test_run_rebuilds_g_symbol_only_when_a_penalty_changes(monkeypatch):
 
 @pytest.mark.parametrize("constrained", [True, False])
 def test_run_stops_on_non_finite_iterate(constrained):
-    """Pixels near the float maximum overflow the first g-solve; ``run``
-    stops there with FloatingPointError instead of iterating on inf."""
-    i, j = np.indices((8, 8))
-    f = np.where((i + j) % 2 == 0, 1.7e308, -1.7e308)
-    params = SolverParams(lam=0.1, gamma=0.1, constrained=constrained)
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Penalties at the ends of the float range overflow the first g-solve
+    of an image in [0, 1]; ``run`` stops there with FloatingPointError
+    instead of iterating on inf. Constrained, mu3 = 1e308 times the box
+    iterate sums past the float maximum in the transform of the right
+    side. Unconstrained, the smallest positive penalties leave the symbol
+    subnormal where a blur's transfer function vanishes, and the division
+    by it overflows. (Pixels too large to square are rejected up front:
+    ``test_run_rejects_huge_pixel``.)"""
+    f = np.random.default_rng(5).uniform(0.0, 1.0, size=(8, 8))
+    if constrained:
+        A = LinearOperatorA.identity(f.shape)
+        params = SolverParams(lam=0.1, gamma=0.1, mu3=1e308)
+    else:
+        A = LinearOperatorA.convolution(BlurKernel(np.array([[0.25, 0.5, 0.25]])),
+                                        f.shape)
+        params = SolverParams(lam=0.1, gamma=0.1, mu1=5e-324, mu2=5e-324,
+                              constrained=False)
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degradation operator has",
+                                RuntimeWarning)
         with pytest.raises(FloatingPointError,
                            match="non-finite iterate at iteration 1"):
-            restore.run(f, LinearOperatorA.identity(f.shape), params,
-                        np.ones(f.shape))
+            restore.run(f, A, params, np.ones(f.shape))
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_run_rejects_huge_pixel(value):
+    """A finite pixel too large to square fails before the first g-solve,
+    naming the image and its range against ``grid.MAX_PIXEL``, with no
+    numpy warning (warnings are errors here)."""
+    f = np.full((32, 32), 0.5)
+    f[8:24, 8:24] = 0.9
+    f[3, 4] = value
+    span = f"[{min(value, 0.5):.6g}, {max(value, 0.9):.6g}]"
+    params = SolverParams(lam=0.1, gamma=0.1, max_iter=3)
+    with pytest.raises(ValueError, match=re.escape(
+            f"observed image f spans {span}; pixel magnitudes above 1e+100")):
+        restore.run(f, LinearOperatorA.identity(f.shape), params, np.ones(f.shape))
 
 
 def test_run_inactive_box_keeps_mu3_within_span():

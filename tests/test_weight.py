@@ -1,5 +1,7 @@
 """Edge-indicator weight: formula checks, smoothing oracle, invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,28 @@ def test_smooth_rejects_sigma_past_tap_budget():
 def test_edge_weight_rejects_bad_contrast(contrast):
     with pytest.raises(ValueError, match="contrast must be finite and >= 0"):
         edge_weight(np.zeros((4, 4)), 1.0, contrast)
+
+
+def test_edge_weight_matches_formula_bit_for_bit():
+    """The weight formed in place has the bits of the formula evaluated
+    with fresh temporaries, and shares no memory with f."""
+    f = np.random.default_rng(5).uniform(0.0, 1.0, size=(24, 20))
+    p = grid.grad(gaussian_smooth(f, 1.3))
+    expected = 1.0 / (1.0 + 7.0 * (p[..., 0] ** 2 + p[..., 1] ** 2))
+    w = edge_weight(f, 1.3, 7.0)
+    assert np.array_equal(w, expected)
+    assert w.flags.c_contiguous and not np.shares_memory(w, f)
+
+
+@pytest.mark.parametrize("value,message", [
+    (1e308, "image f spans [0.5, 1e+308]; pixel magnitudes above 1e+100"),
+    (-1e308, "image f spans [-1e+308, 0.5]; pixel magnitudes above 1e+100"),
+    (np.nan, "image f has 1 non-finite pixel (NaN or inf)"),
+])
+def test_edge_weight_rejects_huge_or_non_finite_pixel(value, message):
+    """A pixel whose square overflows, or a NaN, fails up front naming the
+    image, with no numpy warning (warnings are errors here)."""
+    f = np.full((16, 16), 0.5)
+    f[3, 4] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        edge_weight(f)
