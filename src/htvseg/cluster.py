@@ -59,6 +59,45 @@ def stretch(g: np.ndarray) -> np.ndarray:
     return (g - lo) / (hi - lo)
 
 
+# A divide-and-conquer level with at most this many intervals solves each
+# on contiguous slices of the prefix sums; a level of more, narrower
+# intervals solves them all in one batch of gathers.
+SLICED_LEVEL = 4
+
+
+def _solve_slices(e, s1, ramp, mid, jlo, jtop):
+    """Each interval's minimum of e[j] - (s1[mid] - s1[j])**2 / (mid - j)
+    over j in [jlo, jtop], and its first (smallest) minimizing j, from
+    contiguous slices; the divisors are a reversed view of ``ramp``."""
+    low, opt = np.empty(mid.size), np.empty(mid.size, dtype=np.intp)
+    for t, (i, a, b) in enumerate(zip(mid.tolist(), jlo.tolist(),
+                                      jtop.tolist())):
+        seg = np.subtract(s1[a:b + 1], s1[i])
+        seg *= seg
+        seg /= ramp[i - a:i - b - 1:-1]
+        val = np.subtract(e[a:b + 1], seg, out=seg)
+        at = int(np.argmin(val))
+        low[t], opt[t] = val[at], a + at
+    return low, opt
+
+
+def _solve_batch(e, s1, mid, jlo, jtop):
+    """What :func:`_solve_slices` returns, from one batch of array
+    operations over all intervals' candidates."""
+    counts = jtop - jlo + 1
+    starts = np.cumsum(counts) - counts
+    j = np.arange(int(counts.sum())) - np.repeat(starts - jlo, counts)
+    seg = s1[j]
+    seg -= np.repeat(s1[mid], counts)
+    seg *= seg
+    seg /= np.repeat(mid, counts) - j
+    val = e[j]
+    val -= seg
+    low = np.minimum.reduceat(val, starts)
+    hits = np.flatnonzero(val == np.repeat(low, counts))
+    return low, j[hits[np.searchsorted(hits, starts)]]
+
+
 def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int,
                  s2: np.ndarray | None = None):
     """One DP layer: for every end point i in [lo, hi], the split j in
@@ -66,9 +105,12 @@ def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int,
     minimum (inf outside [lo, hi]). Optimal splits are monotone in i, so
     the argmins come from a divide and conquer that solves the middle end
     point of each open interval and hands each half the matching part of
-    the split range. Each recursion level is one batch of array operations
-    over all intervals' candidates at once, which number at most n plus
-    the intervals. Ties keep the smallest split.
+    the split range. A recursion level's candidates number at most n plus
+    its intervals. The first levels have few, wide intervals, and each is
+    solved on contiguous slices (:func:`_solve_slices`); a level of more
+    than SLICED_LEVEL intervals is one batch of array operations over all
+    their candidates at once (:func:`_solve_batch`). Both form each value
+    by the same operations and keep the smallest split among ties.
 
     ``s2``, the prefix sums of squares, marks the last inner layer (``hi``
     is n - 1, and the layer's costs cost(i) = best[i] + s2[i] are read only
@@ -86,6 +128,7 @@ def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int,
     slack is about 40 times that first-order bound."""
     best = np.full(e.size, np.inf)
     arg = np.zeros(e.size, dtype=np.intp)
+    ramp = np.arange(float(e.size))     # ramp[i - j] = i - j, the divisors
     ilo, ihi = np.array([lo]), np.array([hi])
     jlo, jhi = np.array([lo - 1]), np.array([hi - 1])
     if s2 is not None:
@@ -96,18 +139,10 @@ def _split_layer(e: np.ndarray, s1: np.ndarray, lo: int, hi: int,
     while ilo.size:
         mid = (ilo + ihi) // 2
         jtop = np.minimum(jhi, mid - 1)
-        counts = jtop - jlo + 1
-        starts = np.cumsum(counts) - counts
-        j = np.arange(int(counts.sum())) - np.repeat(starts - jlo, counts)
-        seg = s1[j]
-        seg -= np.repeat(s1[mid], counts)
-        seg *= seg
-        seg /= np.repeat(mid, counts) - j
-        val = e[j]
-        val -= seg
-        low = np.minimum.reduceat(val, starts)
-        hits = np.flatnonzero(val == np.repeat(low, counts))
-        opt = j[hits[np.searchsorted(hits, starts)]]
+        if ilo.size <= SLICED_LEVEL:
+            low, opt = _solve_slices(e, s1, ramp, mid, jlo, jtop)
+        else:
+            low, opt = _solve_batch(e, s1, mid, jlo, jtop)
         best[mid], arg[mid] = low, opt
         left, right = ilo < mid, mid < ihi
         ilo, ihi, jlo, jhi = (np.concatenate((ilo[left], mid[right] + 1)),

@@ -180,25 +180,42 @@ def grad2(u: np.ndarray, channels: int = 4) -> np.ndarray:
     out = _planar(np.empty, u.shape, channels)
     scratch = np.empty(u.shape)
     diff_backward(diff_forward(u, 0, scratch), 0, out[..., XX])
-    diff_backward(diff_forward(u, 1, scratch), 0, out[..., XY])
     if channels == 4:
         diff_forward(diff_backward(u, 0, scratch), 1, out[..., YX])
-    diff_forward(diff_backward(u, 1, scratch), 1, out[..., -1])
+    # D-y(D+y u) takes the subtractions of D+y(D-y u), in the same order on
+    # the same operands, so YY shares D+y u with XY.
+    diff_forward(u, 1, scratch)
+    diff_backward(scratch, 0, out[..., XY])
+    diff_backward(scratch, 1, out[..., -1])
     return out
 
 
-def div(p: np.ndarray) -> np.ndarray:
+def _work_planes(p: np.ndarray, count: int, overwrite_p: bool) -> list:
+    """``count`` (m, n) planes to work in: the first planes of ``p`` when
+    the caller gives them up and they are C-contiguous (a planar field),
+    else new ones."""
+    planes = [p[..., k] for k in range(count)]
+    if overwrite_p and all(plane.flags.c_contiguous for plane in planes):
+        return planes
+    return [np.empty(p.shape[:-1]) for _ in range(count)]
+
+
+def div(p: np.ndarray, overwrite_p: bool = False) -> np.ndarray:
     """Divergence of a 2-vector field: D-x p_x + D-y p_y.
 
-    Satisfies <grad(u), p> = -<u, div(p)> for every scalar field u.
+    Satisfies <grad(u), p> = -<u, div(p)> for every scalar field u. With
+    ``overwrite_p`` a planar float ``p`` is the caller's to give up, and
+    its x plane takes the y term, one new plane fewer; the result is the
+    same bits either way.
     """
     p = np.asarray(p, dtype=float)
+    (work,) = _work_planes(p, 1, overwrite_p)
     out = diff_backward(p[..., 0], 0)
-    out += diff_backward(p[..., 1], 1)
+    out += diff_backward(p[..., 1], 1, work)
     return out
 
 
-def div2(p: np.ndarray) -> np.ndarray:
+def div2(p: np.ndarray, overwrite_p: bool = False) -> np.ndarray:
     """Second-order divergence: the exact adjoint of :func:`grad2`.
 
     Satisfies <grad2(u), p> = <u, div2(p)> (plus sign) for every u. Each
@@ -207,14 +224,22 @@ def div2(p: np.ndarray) -> np.ndarray:
     and YX adjoints, D-y D+x and D+x D-y, are one operator, so it is
     applied once, to p_xy + p_yx, or to 2 p_xy on a Sym3Field, which
     therefore gives the bits of its expanded Vec4Field.
+
+    The terms are formed in two work planes and summed into the result's
+    plane. With ``overwrite_p`` a planar float ``p`` is the caller's to
+    give up, and its xx and xy planes are the work planes: one new plane
+    instead of three, and the same bits either way.
     """
     p = np.asarray(p, dtype=float)
-    scratch = np.empty(p.shape[:-1])
-    out = diff_backward(diff_forward(p[..., XX], 0, scratch), 0)
     other = p[..., XY] if _symmetric(p) else p[..., YX]
-    mixed = np.add(p[..., XY], other, order="C")
-    out += diff_backward(diff_forward(mixed, 0, scratch), 1, mixed)
-    out += diff_forward(diff_backward(p[..., -1], 1, scratch), 1, mixed)
+    last = p[..., -1]
+    first, second = _work_planes(p, 2, overwrite_p)
+    out = np.empty(p.shape[:-1])
+    diff_backward(diff_forward(p[..., XX], 0, out), 0, first)
+    mixed = np.add(p[..., XY], other, out=second)
+    diff_backward(diff_forward(mixed, 0, out), 1, second)
+    np.add(first, second, out=out)
+    out += diff_forward(diff_backward(last, 1, first), 1, second)
     return out
 
 

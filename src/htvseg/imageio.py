@@ -100,12 +100,14 @@ def save_pgm(field: np.ndarray, path, maxval: int = 255) -> None:
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
         raise ValueError("can only save 2-D fields")
-    samples = np.round(np.clip(field, 0.0, 1.0) * maxval)
+    samples = np.clip(field, 0.0, 1.0)
+    samples *= maxval
+    np.rint(samples, out=samples)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     height, width = field.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n{maxval}\n".encode())
-        fh.write(samples.astype(dtype).tobytes())
+        fh.write(np.ascontiguousarray(samples, dtype=dtype))
 
 
 def save_raw_float(field: np.ndarray, path) -> None:

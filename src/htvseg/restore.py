@@ -45,7 +45,10 @@ v, z with their K (grad2, grad, the identity), update call with its shrink
 threshold, scaled dual, auxiliary, K^T (div2, div, a copy), signed penalty
 (+mu1, -mu2, +mu3) and term of the objective. It builds that table and the
 g-solve's symbol, everything that depends on the penalties, at the start
-and again only when a penalty changes. After each g-solve one loop over
+and again only when a penalty changes. Its g-solve is ``solve_g``, but
+for iteration 1, which assembles its right side from the zero q, b, v, c
+and d that ``init_state`` makes, with no stencil, and hands it to
+``solve_g``'s spectral solve. After each g-solve one loop over
 the table forms each block's K g, relaxes, updates, ascends the dual and
 brackets each block alike, freeing K g before the next block forms its
 own. Each update overwrites its own variable of the state in place, since
@@ -220,9 +223,13 @@ def g_denominator(A: LinearOperatorA, params: SolverParams,
     semidefinite. ``laplacians`` is the pair of symbols of div2 grad2 and
     div grad, which do not depend on mu; it is built here when not given."""
     L1, L2 = _laplacian_symbols(A.shape) if laplacians is None else laplacians
-    D = A.gain_half() + params.mu1 * L1 - params.mu2 * L2
+    # D accumulates in one buffer, in the order of the sum above, so its
+    # bits are those of the sum of new arrays.
+    D = np.multiply(L1, params.mu1)
+    D += A.gain_half()
+    D -= np.multiply(L2, params.mu2)
     if params.constrained:
-        D = D + params.mu3
+        D += params.mu3
         assert np.all(D >= params.mu3 - 1e-12)
     else:
         assert np.all(D > 0.0)
@@ -239,25 +246,47 @@ def solve_g(state: SolverState, params: SolverParams, A: LinearOperatorA,
 
     ``denom`` is :func:`g_denominator` and ``adjoint_f`` is A* f. Both are
     the same in every iteration; they are computed here only when not given.
+    The right side's temporaries peak at four planes: q - b and div2's
+    result, whose stencils work in the planes of q - b.
     """
     if denom is None:
         denom = g_denominator(A, params)
     if adjoint_f is None:
         adjoint_f = apply_adjoint(A, f)
-    # The right side accumulates in place, term by term in the order
-    # above: each term is scaled in its own buffer, and adding it into the
-    # sum leaves the sum's bits as a new array would.
-    rhs = grid.div2(state.q - state.b)
-    rhs *= params.mu1
-    rhs += adjoint_f
-    term = grid.div(state.c - state.v)
-    term *= params.mu2
-    rhs += term
+    return _spectral_solve(_right_side(state, params, adjoint_f), denom)
+
+
+def _right_side(state: SolverState, params: SolverParams,
+                adjoint_f: np.ndarray, start: bool = False) -> np.ndarray:
+    """The g-subproblem's right side A*f + mu1*div2(q - b) + mu2*div(c - v)
+    (+ mu3*(z - d)). It accumulates in place, term by term in that order:
+    each term is scaled in its own buffer, and adding it into the sum
+    leaves the sum's bits as a new array would. q - b and c - v are
+    temporaries of this call, so div2 and div work in their planes.
+
+    ``start`` says that q, b, v, c and d are 0, as ``init_state`` makes
+    them: the div2 and div terms are then +0 planes, and the sum they
+    start is A*f + 0, the same bits (a negative zero of A*f becomes +0)
+    without the stencils."""
+    term = None
+    if start:
+        rhs = np.add(adjoint_f, 0.0)
+    else:
+        rhs = grid.div2(state.q - state.b, overwrite_p=True)
+        rhs *= params.mu1
+        rhs += adjoint_f
+        term = grid.div(state.c - state.v, overwrite_p=True)
+        term *= params.mu2
+        rhs += term
     if params.constrained:
         term = np.subtract(state.z, state.d, out=term)
         term *= params.mu3
         rhs += term
-    del term
+    return rhs
+
+
+def _spectral_solve(rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """g = F^-1(F(rhs) / denom) on the half-spectrum of the real field."""
     spectrum = np.fft.rfft2(rhs)
     spectrum /= denom
     return np.fft.irfft2(spectrum, s=rhs.shape)
@@ -436,6 +465,7 @@ class _Block(NamedTuple):
     adjoint: Callable           # the K^T brackets map a by: div2, div, a copy
     mu: float                   # the signed penalty K^T da enters s with
     energy: Callable | None     # the block's term of the objective, from K g
+    zero_start: bool            # a is 0 before iteration 1, and so is K^T a
 
 
 def _identity(g: np.ndarray) -> np.ndarray:
@@ -446,25 +476,33 @@ def _block_table(state: SolverState, params: SolverParams,
                  omega: np.ndarray) -> list[_Block]:
     """``run``'s block table for the penalties of ``params``: the q and v
     updates with their shrink thresholds lam*(1 - w)/mu1 and gamma*w/mu2,
-    and, in constrained mode, the z update, each with its signed penalty."""
+    and, in constrained mode, the z update, each with its signed penalty.
+    Each threshold is formed in place in its own plane, in the order of
+    the expression, so its bits are the expression's."""
+    q_threshold = np.subtract(1.0, omega)
+    q_threshold *= params.lam
+    q_threshold /= params.mu1
+    v_threshold = np.multiply(omega, params.gamma)
+    v_threshold /= params.mu2
     blocks = [_Block(partial(grid.grad2, channels=state.q.shape[-1]),
                      partial(update_q, state, params, omega,
-                             threshold=params.lam * (1.0 - omega) / params.mu1),
+                             threshold=q_threshold),
                      state.b, state.q, grid.div2, params.mu1,
-                     partial(_tv_term, omega=omega, second_order=True)),
+                     partial(_tv_term, omega=omega, second_order=True), True),
               _Block(grid.grad,
                      partial(update_v, state, params, omega,
-                             threshold=params.gamma * omega / params.mu2),
+                             threshold=v_threshold),
                      state.c, state.v, grid.div, -params.mu2,
-                     partial(_tv_term, omega=omega, second_order=False))]
+                     partial(_tv_term, omega=omega, second_order=False), True)]
     if params.constrained:
         blocks.append(_Block(_identity, lambda _: update_z(state, params),
-                             state.d, state.z, np.copy, params.mu3, None))
+                             state.d, state.z, np.copy, params.mu3, None,
+                             False))
     return blocks
 
 
 def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
-                   balancing: bool, evaluate: bool
+                   balancing: bool, evaluate: bool, start: bool
                    ) -> tuple[list, list, float, list, list]:
     """Update the blocks of the table ``blocks`` in turn. Each block forms
     its K g; with ``relax`` its dual first takes the relaxation's step
@@ -473,15 +511,18 @@ def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
     to its dual, and frees K g before the next block forms its own. The
     residual of z, whose K g is g itself, takes a plane of its own. With
     ``bracket`` the update is bracketed by K^T a, and the signed K^T da are
-    summed into s in place. With ``balancing`` each block records |K g|,
-    and with ``evaluate`` its term of the objective.
+    summed into s in place; with ``start`` (iteration 1) a block whose a
+    starts at 0 takes K^T of its new a as K^T da, since subtracting the +0
+    plane K^T 0 would leave its bits. With ``balancing`` each block records
+    |K g|, and with ``evaluate`` its term of the objective.
 
     Returns the raw primal residual norms, the norms |K^T da| and |s| (or
     [] and NaN unbracketed), the norms |K g| (or [] off balancing) and the
     objective's terms (or [] unevaluated)."""
     raw, steps, sizes, terms, s = [], [], [], [], None
-    for K, update, dual, auxiliary, adjoint, mu, energy in blocks:
-        if bracket:
+    for K, update, dual, auxiliary, adjoint, mu, energy, zero_start in blocks:
+        before = None
+        if bracket and not (start and zero_start):
             before = adjoint(auxiliary)
         kg = K(g)
         if balancing:
@@ -498,7 +539,9 @@ def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
         dual += residual
         del kg, residual
         if bracket:
-            change = np.subtract(adjoint(auxiliary), before, out=before)
+            change = adjoint(auxiliary)
+            if before is not None:
+                change = np.subtract(change, before, out=before)
             steps.append(grid.norm_l2(change))
             change *= mu
             s = change if s is None else np.add(s, change, out=s)
@@ -540,6 +583,11 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     a copy of z), a plane rather than a copy of q or v, and adds each change
     times the signed penalty the iteration ran with into s in place.
 
+    Iteration 1 starts from init_state, whose q, b, v, c and d are 0: its
+    right side is A*f (+ mu3 z0) with no div2 or div, and its bracket takes
+    div2 q and div v after their updates as their changes, with no K^T of
+    the zero q0 and v0. Both are the bits the general steps would give.
+
     Every BALANCE_EVERY-th iteration but the last allowed one is a
     balancing iteration: it also forms each block's relative residuals
     and calls :func:`balance_penalties`. The block table, with its shrink
@@ -573,8 +621,9 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     half-spectra of about half a plane each; A* f with blur, one, while for
     the identity it is f itself), plus the transients of the step in hand:
     at most six, in the q block (grad2 g's three, a bracket plane, the
-    shrink's magnitude and scale) and in the g-solve (q - b's three and
-    div2's three), about 23 planes in all at 512^2. The state, the block
+    shrink's magnitude and scale), and four in the g-solve (q - b's three
+    and div2's result, its stencils working in the planes of q - b), about
+    23 planes in all at 512^2. The state, the block
     table and the symbols are freed before that call to :func:`objective`.
     A* f and the symbols of div2 grad2 and div grad are computed once per
     run. An image without pixels, and NaN or infinite pixels in f or omega
@@ -615,12 +664,18 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
         evaluate = balancing or k == params.max_iter
         bracketed = balancing or k == check_at
-        state.g = solve_g(state, params, A, f, denom, adjoint_f)
+        if k == 1:      # q, b, v, c and d are still init_state's zeros
+            rhs = _right_side(state, params, adjoint_f, start=True)
+            state.g = _spectral_solve(rhs, denom)
+            del rhs
+        else:
+            state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(state.g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
         raw, steps, rs, sizes, terms = _update_blocks(
-            blocks, state.g, k > BALANCE_EVERY, bracketed, balancing, evaluate)
+            blocks, state.g, k > BALANCE_EVERY, bracketed, balancing, evaluate,
+            k == 1)
         rq, rv, rz = raw if params.constrained else (*raw, np.nan)
         energy = (_data_term(state.g, f, A) + params.lam * terms[0]
                   + params.gamma * terms[1] if evaluate else np.nan)

@@ -360,3 +360,34 @@ def test_kmeans_scans_only_solved_end_points(restoration_512, kind, k):
     centers, wcss = unbounded_kmeans(values, k)
     assert np.array_equal(res.centers, centers)
     assert res.wcss == wcss
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_both_level_paths_give_the_same_bits(monkeypatch, case):
+    """A divide-and-conquer level of few intervals is solved on slices and
+    one of many in a batch. With every level on either path, each layer's
+    values and splits, and so kmeans_1d's centers and wcss, are bit-equal,
+    on data with duplicates and exact ties, and match the quadratic DP."""
+    rng = np.random.default_rng([13, case])
+    k = 3 + case % 3
+    n = int(rng.integers(200, 400))
+    values = rng.uniform(0.0, 1.0, size=n)
+    if case % 2:
+        values = np.round(values * 12) / 12       # duplicates
+    if case % 4 == 2:
+        values = np.arange(n) % (k + 1) / k       # evenly filled levels: ties
+    xs, s1, s2, e = first_layer(values)
+    results = []
+    for sliced in (0, n):                         # all batched, all sliced
+        monkeypatch.setattr(cluster, "SLICED_LEVEL", sliced)
+        layers = [cluster._split_layer(e, s1, 2, n - 1),
+                  cluster._split_layer(e, s1, 2, n - 1, s2)]
+        res = cluster.kmeans_1d(values, k)
+        results.append((layers, res))
+        assert abs(res.wcss - dp_partition_wcss(values, k)) < 1e-9
+    (layers_a, res_a), (layers_b, res_b) = results
+    for (best_a, arg_a), (best_b, arg_b) in zip(layers_a, layers_b):
+        assert np.array_equal(best_a, best_b)
+        assert np.array_equal(arg_a, arg_b)
+    assert np.array_equal(res_a.centers, res_b.centers)
+    assert res_a.wcss == res_b.wcss

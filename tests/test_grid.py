@@ -323,3 +323,58 @@ def test_symmetric_layout_matches_four_channels(shape):
                                              rel=1e-12)
     lhs, rhs = grid.inner(grid.grad2(u, 3), p), grid.inner(u, grid.div2(p))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize("channels", [2, 3, 4])
+@pytest.mark.parametrize("layout", ["planar", "channel-last"])
+def test_divergence_of_an_owned_field_matches_plain_call(channels, layout):
+    """div and div2 with ``overwrite_p`` give the plain call's bits, on
+    Vec2, Sym3 and Vec4 fields. A planar field lends its planes as work
+    planes, so the call allocates one plane, the result; a channel-last
+    field has no contiguous planes to lend and is left unchanged."""
+    shape = (40, 36)
+    rng = np.random.default_rng(channels)
+    op = grid.div if channels == 2 else grid.div2
+    p = grid.vector_zeros(shape, channels)
+    p[...] = rng.normal(size=p.shape) / 3.0
+    if layout == "channel-last":
+        p = np.ascontiguousarray(p)
+    expected = op(p)
+    owned = p.copy(order="K")
+    tracemalloc.start()
+    try:
+        got = op(owned, overwrite_p=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    plane = got.nbytes
+    if layout == "planar":
+        assert peak < 1.5 * plane
+        assert not np.array_equal(owned, p)
+    else:
+        assert peak >= (2 if channels == 2 else 3) * plane
+        assert np.array_equal(owned, p)
+
+
+def test_grad2_shares_the_y_difference_between_xy_and_yy(monkeypatch):
+    """D-y(D+y u) is D+y(D-y u) to the bit, so a Sym3Field takes five
+    differences and a Vec4Field seven, and the planes are still the
+    composed differences of the docstring."""
+    fwd, bwd = grid.diff_forward, grid.diff_backward
+    u = np.random.default_rng(8).uniform(0.0, 1.0, size=(9, 12)) / 3.0
+    expected = [bwd(fwd(u, 0), 0), bwd(fwd(u, 1), 0), fwd(bwd(u, 0), 1),
+                fwd(bwd(u, 1), 1)]
+    difference, calls = grid._difference, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return difference(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "_difference", counting)
+    for channels, count, planes in ((3, 5, (0, 1, 3)), (4, 7, (0, 1, 2, 3))):
+        calls.clear()
+        p = grid.grad2(u, channels)
+        assert len(calls) == count
+        for k, plane in enumerate(planes):
+            assert np.array_equal(p[..., k], expected[plane])

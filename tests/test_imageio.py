@@ -152,3 +152,24 @@ def test_raw_writers_match_header_plus_tobytes(tmp_path, array, save, head):
     back = imageio.load_image(path) if dtype == "<f8" else imageio.load_labels(path)
     assert np.array_equal(back, array)
     assert back.flags.writeable and back.flags.c_contiguous
+
+
+@pytest.mark.parametrize("maxval", [255, 1000])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_save_pgm_matches_round_of_clip_in_any_layout(tmp_path, maxval, layout):
+    """The quantized raster is np.round(np.clip(field, 0, 1) * maxval) in
+    row-major order, for a C-ordered, Fortran-ordered or strided field,
+    and the field itself is left alone."""
+    field = np.random.default_rng(maxval).uniform(-0.2, 1.2, size=(9, 14))
+    if layout == "F":
+        field = np.asfortranarray(field)
+    elif layout == "strided":
+        field = field[::2, ::3]
+    before = field.copy()
+    path = tmp_path / "a.pgm"
+    imageio.save_pgm(field, path, maxval=maxval)
+    dtype = ">u2" if maxval > 255 else "u1"
+    expected = np.round(np.clip(field, 0.0, 1.0) * maxval).astype(dtype).tobytes()
+    height, width = field.shape
+    assert path.read_bytes() == f"P5\n{width} {height}\n{maxval}\n".encode() + expected
+    assert np.array_equal(field, before)

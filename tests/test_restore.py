@@ -551,20 +551,21 @@ def test_run_takes_final_energy_from_its_last_iteration(monkeypatch, blur,
                                                         constrained):
     """A run that ends at max_iter reports, as its last energy, the
     objective of its last g, bit for bit, from that iteration's own K g:
-    after its last g-solve it forms grad2 g and grad g once each, in the
-    block loop, and no more."""
+    after its last g-solve (the spectral solve of its right side) it forms
+    grad2 g and grad g once each, in the block loop, and no more."""
     calls, iterates = [], []
+    solve = "_spectral_solve"
 
     def logging(name, fn):
         def wrapper(*args, **kwargs):
             calls.append(name)
             result = fn(*args, **kwargs)
-            if name == "solve_g":
+            if name == solve:
                 iterates.append(result)
             return result
         return wrapper
 
-    monkeypatch.setattr(restore, "solve_g", logging("solve_g", restore.solve_g))
+    monkeypatch.setattr(restore, solve, logging(solve, getattr(restore, solve)))
     for name in ("grad2", "grad"):
         monkeypatch.setattr(grid, name, logging(name, getattr(grid, name)))
     shape = (12, 16)
@@ -577,12 +578,71 @@ def test_run_takes_final_energy_from_its_last_iteration(monkeypatch, blur,
                           constrained=constrained)
     _, report = restore.run(f, A, params, omega)
     assert report.termination == "max_iter"
-    assert calls.count("solve_g") == len(iterates) == params.max_iter
-    assert calls[len(calls) - 1 - calls[::-1].index("solve_g"):] == [
-        "solve_g", "grad2", "grad"]
+    assert calls.count(solve) == len(iterates) == params.max_iter
+    assert calls[len(calls) - 1 - calls[::-1].index(solve):] == [
+        solve, "grad2", "grad"]
     monkeypatch.undo()
     assert report.objective[-1] == restore.objective(iterates[-1], f, A, params,
                                                      omega)
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_run_first_g_matches_solve_g_from_init_state(monkeypatch, blur,
+                                                     constrained, signed_zeros):
+    """Iteration 1 solves from the known zero state without the stencils of
+    q - b and c - v, and its g is bit for bit the g that solve_g makes from
+    init_state, also for an f of negative zeros, whose g is exactly 0
+    (``tobytes`` compares the sign of each zero too)."""
+    shape = (12, 16)
+    rng = np.random.default_rng(28)
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    if signed_zeros:
+        f = np.full(shape, -0.0)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=2,
+                          constrained=constrained)
+    solve, iterates = restore._spectral_solve, []
+
+    def logging(*args):
+        iterates.append(solve(*args))
+        return iterates[-1]
+
+    monkeypatch.setattr(restore, "_spectral_solve", logging)
+    restore.run(f, A, params, omega)
+    monkeypatch.undo()
+    expected = restore.solve_g(restore.init_state(f, params), params, A, f)
+    assert iterates[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+@pytest.mark.parametrize("constrained", [True, False])
+def test_denominator_and_thresholds_keep_the_bits_of_their_expressions(
+        blur, constrained):
+    """g_denominator and the block table's shrink thresholds accumulate in
+    their own buffers, in the order of their expressions, and so keep the
+    bits of those expressions formed from new arrays."""
+    shape = (10, 14)
+    rng = np.random.default_rng(29)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.0, 1.0, size=shape)
+    params = SolverParams(lam=0.3, gamma=1.95, mu1=0.7, mu2=3.1, mu3=0.37,
+                          constrained=constrained)
+    L1, L2 = restore._laplacian_symbols(shape)
+    expected = A.gain_half() + params.mu1 * L1 - params.mu2 * L2
+    if constrained:
+        expected = expected + params.mu3
+    assert np.array_equal(restore.g_denominator(A, params), expected)
+    state = restore.init_state(rng.uniform(size=shape), params)
+    q_block, v_block = restore._block_table(state, params, omega)[:2]
+    assert np.array_equal(q_block.update.keywords["threshold"],
+                          params.lam * (1.0 - omega) / params.mu1)
+    assert np.array_equal(v_block.update.keywords["threshold"],
+                          params.gamma * omega / params.mu2)
 
 
 @pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
