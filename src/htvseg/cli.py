@@ -120,10 +120,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _check_fields(parts: list[str], *counts: int) -> None:
+    """Raise ValueError unless a spec split into ``parts`` has one of the
+    field ``counts`` the epilog's grammar allows it."""
+    if len(parts) not in counts:
+        raise ValueError(f"field count {len(parts)}, expected "
+                         + " or ".join(map(str, counts)))
+
+
 def _parse_phantom(spec: str):
     parts = spec.split(",")
     try:
         if parts[0] == "two":
+            _check_fields(parts, *((6,) if parts[1:2] == ["text"] else (6, 7)))
             shape, m, n = parts[1], int(parts[2]), int(parts[3])
             c0, c1 = float(parts[4]), float(parts[5])
             extra = float(parts[6]) if len(parts) > 6 else None
@@ -131,21 +140,24 @@ def _parse_phantom(spec: str):
                 return make_two_phase(m, n, shape, c0, c1, bar_width=extra)
             return make_two_phase(m, n, shape, c0, c1, radius=extra)
         if parts[0] == "three":
+            _check_fields(parts, 6, 8)
             m, n = int(parts[1]), int(parts[2])
             c0, c1, c2 = float(parts[3]), float(parts[4]), float(parts[5])
-            r_out = float(parts[6]) if len(parts) > 6 else None
-            r_in = float(parts[7]) if len(parts) > 7 else None
+            r_out, r_in = (float(parts[6]), float(parts[7])) if len(parts) > 6 else (None, None)
             return make_three_phase(m, n, c0, c1, c2, r_out=r_out, r_in=r_in)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad phantom spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad phantom spec {spec!r}: must start with two|three")
 
 
 def _parse_degrade(spec: str, shape) -> tuple[LinearOperatorA, object]:
     parts = spec.split(",")
-    if parts[0] == "none":
-        return LinearOperatorA.identity(shape), None
     try:
+        if parts[0] not in ("none", "gaussian", "motion"):
+            raise ValueError("unknown kind")
+        _check_fields(parts, 1 if parts[0] == "none" else 3)
+        if parts[0] == "none":
+            return LinearOperatorA.identity(shape), None
         if parts[0] == "gaussian":
             size = int(parts[1])
             # The taps are size x size; reject them unbuilt when they
@@ -153,7 +165,7 @@ def _parse_degrade(spec: str, shape) -> tuple[LinearOperatorA, object]:
             if size > shape[0] or size > shape[1]:
                 raise ValueError(f"kernel {(size, size)} larger than grid {tuple(shape)}")
             kernel = gaussian_kernel(size, float(parts[2]))
-        elif parts[0] == "motion":
+        else:
             length = float(parts[1])
             # The segment spans >= (length - 1)/sqrt(2) pixels along one
             # axis; reject it unrasterized when that cannot fit the grid.
@@ -161,10 +173,8 @@ def _parse_degrade(spec: str, shape) -> tuple[LinearOperatorA, object]:
                 raise ValueError(f"motion length {length:g} cannot fit the "
                                  f"{shape[0]}x{shape[1]} grid")
             kernel = motion_kernel(length, float(parts[2]))
-        else:
-            raise ValueError("unknown kind")
         return LinearOperatorA.convolution(kernel, shape), kernel
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad degrade spec {spec!r}: {exc}") from exc
 
 

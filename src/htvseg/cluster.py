@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import finite_range
+
 
 @dataclass(frozen=True)
 class KMeansResult:
@@ -41,19 +43,10 @@ class PhaseLabeling:
         return len(self.centers)
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
-    """Raise ValueError naming ``a`` and counting its NaN or inf entries."""
-    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
-    if bad:
-        raise ValueError(f"{name} has {bad} non-finite "
-                         f"entr{'y' if bad == 1 else 'ies'} (NaN or inf)")
-
-
 def stretch(g: np.ndarray) -> np.ndarray:
     """Affine map of g onto [0,1]; a constant image maps to all zeros."""
     g = np.asarray(g, dtype=float)
-    _require_finite("image to stretch", g)
-    lo, hi = g.min(), g.max()
+    lo, hi = finite_range("image to stretch", g)
     if hi == lo:
         return np.zeros_like(g)
     return (g - lo) / (hi - lo)
@@ -181,7 +174,7 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     values = np.asarray(values, dtype=float).ravel()
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
-    _require_finite("values to cluster", values)
+    finite_range("values to cluster", values)
     xs = np.sort(values)
     n = xs.size
     distinct = min(n, 1 + int(np.count_nonzero(xs[1:] != xs[:-1])))
@@ -229,10 +222,10 @@ def label(g_stretched: np.ndarray, centers: np.ndarray) -> PhaseLabeling:
     reports its center as the phase mean."""
     g_stretched = np.asarray(g_stretched, dtype=float)
     centers = np.asarray(centers, dtype=float)
-    _require_finite("image to label", g_stretched)
-    _require_finite("centers", centers)
     if centers.ndim != 1 or len(centers) < 2:
         raise ValueError("need a 1-D array of at least 2 centers")
+    finite_range("image to label", g_stretched)
+    finite_range("centers", centers)
     if np.any(np.diff(centers) < 0):
         raise ValueError("centers must be sorted ascending")
     thresholds = 0.5 * (centers[:-1] + centers[1:])

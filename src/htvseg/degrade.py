@@ -11,6 +11,7 @@ are the real-input ``rfft2``/``irfft2`` pair.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +54,11 @@ def gaussian_kernel(s: int, sigma_g: float) -> BlurKernel:
 
     Parameters
     ----------
-    s : odd kernel size in pixels.
+    s : odd kernel size in pixels, an integer.
     sigma_g : standard deviation of the Gaussian, finite and > 0.
     """
+    if not isinstance(s, numbers.Integral):
+        raise ValueError(f"kernel size must be an integer, got {s!r}")
     if s < 1 or s % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {s}")
     if not np.isfinite(sigma_g):
@@ -224,16 +227,3 @@ def save_kernel(kernel: BlurKernel, path) -> None:
         fh.write(f"{kernel.rows} {kernel.cols}\n")
         for row in kernel.taps:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_kernel(path) -> BlurKernel:
-    """Read a kernel written by :func:`save_kernel`."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"malformed kernel file {path!r}")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    values = [float(tok) for tok in tokens[2:]]
-    if len(values) != rows * cols:
-        raise ValueError(f"kernel file {path!r} holds {len(values)} taps, expected {rows * cols}")
-    return BlurKernel(np.array(values).reshape(rows, cols))

@@ -67,21 +67,32 @@ XX, XY, YX, YY = 0, 1, 2, 3
 MAX_PIXEL = 1e100
 
 
+def finite_range(name: str, a: np.ndarray, source: str | None = None
+                 ) -> tuple[float, float]:
+    """The range (lo, hi) of ``a``, from two reductions: NaN propagates
+    through both. Raise ValueError naming ``a`` and, when given, the
+    ``source`` it came from, when it has no entries, giving its shape, or
+    when it holds NaN or infinite entries, counting them."""
+    a = np.asarray(a)
+    origin = "" if source is None else f", from {source}"
+    if a.size == 0:
+        raise ValueError(f"{name} of shape {a.shape} has no pixels{origin}")
+    lo, hi = float(np.min(a)), float(np.max(a))
+    if -np.inf < lo and hi < np.inf:
+        return lo, hi
+    bad = a.size - int(np.count_nonzero(np.isfinite(a)))
+    raise ValueError(f"{name} has {bad} non-finite "
+                     f"entr{'y' if bad == 1 else 'ies'} (NaN or inf){origin}")
+
+
 def check_pixels(name: str, image: np.ndarray, source: str | None = None
                  ) -> None:
-    """Raise ValueError, naming the image ``name`` and, when given, the
-    ``source`` it came from, when it holds NaN or infinite pixels, counting
-    them, or pixels above MAX_PIXEL in magnitude, giving its range. A
-    valid image costs two reductions: NaN propagates through both."""
-    image = np.asarray(image, dtype=float)
-    lo, hi = float(np.min(image)), float(np.max(image))
+    """:func:`finite_range`'s checks, and a ValueError giving the range
+    when a pixel exceeds MAX_PIXEL in magnitude."""
+    lo, hi = finite_range(name, image, source)
     if -MAX_PIXEL <= lo and hi <= MAX_PIXEL:
         return
     origin = "" if source is None else f", from {source}"
-    bad = image.size - int(np.count_nonzero(np.isfinite(image)))
-    if bad:
-        raise ValueError(f"{name} has {bad} non-finite pixel"
-                         f"{'' if bad == 1 else 's'} (NaN or inf){origin}")
     raise ValueError(f"{name} spans [{lo:.6g}, {hi:.6g}]{origin}; pixel "
                      f"magnitudes above {MAX_PIXEL:g} overflow the pipeline")
 

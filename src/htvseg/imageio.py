@@ -1,8 +1,9 @@
 """Image file formats: binary PGM (P5) plus two tiny raw formats.
 
 PGM carries 8- or 16-bit integer samples (16-bit big-endian, per the
-format); loading divides by maxval so images enter the pipeline in [0,1],
-saving quantizes with round-half-to-even. The raw formats exist for exact
+format); loading reads either and divides by maxval so images enter the
+pipeline in [0,1], saving writes 8-bit samples, quantized with
+round-half-to-even. The raw formats exist for exact
 round-trips: 'RF64' holds row-major little-endian float64 fields, 'RI32'
 row-major little-endian int32 label maps. Both start with a magic line and
 an ASCII "rows cols" line.
@@ -89,25 +90,19 @@ def load_image(path) -> np.ndarray:
     raise ValueError(f"unrecognized image format in {path!r}")
 
 
-def save_pgm(field: np.ndarray, path, maxval: int = 255) -> None:
-    """Quantize a [0,1] field (values clipped) to a binary PGM.
-
-    maxval picks the bit depth: <= 255 writes single bytes, larger writes
-    16-bit big-endian samples. Rounding is numpy's round-half-to-even.
-    """
-    if not 0 < maxval <= PGM_MAX_16BIT:
-        raise ValueError(f"maxval out of range: {maxval}")
+def save_pgm(field: np.ndarray, path) -> None:
+    """Quantize a [0,1] field (values clipped) to an 8-bit binary PGM.
+    Rounding is numpy's round-half-to-even."""
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
         raise ValueError("can only save 2-D fields")
     samples = np.clip(field, 0.0, 1.0)
-    samples *= maxval
+    samples *= 255
     np.rint(samples, out=samples)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     height, width = field.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode())
-        fh.write(np.ascontiguousarray(samples, dtype=dtype))
+        fh.write(f"P5\n{width} {height}\n255\n".encode())
+        fh.write(np.ascontiguousarray(samples, dtype="u1"))
 
 
 def save_raw_float(field: np.ndarray, path) -> None:

@@ -6,42 +6,28 @@ lower is better, 0 means a perfect labeling.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
-PERMUTATION_K_LIMIT = 6
+from .grid import finite_range
 
 
-def sa(pred, truth, match_permutations: bool = False) -> float:
+def sa(pred, truth) -> float:
     """Percent of pixels whose predicted phase differs from the truth.
 
     pred may be a label array or anything with a .labels attribute. Phases
     are numbered 1..K; predicted labels must stay within the truth's range.
-    By default phase indices are compared as-is (both sides intensity
-    ordered); with match_permutations the minimum over all K! relabelings
-    of pred is returned, K <= 6 enforced.
+    Phase indices are compared as they are: Stage 2 numbers phases by
+    increasing intensity, as a truth map numbered the same way does.
     """
     pred = np.asarray(getattr(pred, "labels", pred))
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape}, truth {truth.shape}")
-    if truth.min() < 1:
+    lo, hi = finite_range("truth", truth)
+    if lo < 1:
         raise ValueError("truth labels must be >= 1")
-    k = int(truth.max())
-    if pred.min() < 1 or pred.max() > k:
+    k = int(hi)
+    lo, hi = finite_range("pred", pred)
+    if lo < 1 or hi > k:
         raise ValueError(f"pred labels must lie in 1..{k}")
-
-    total = truth.size
-    if not match_permutations:
-        return 100.0 * np.count_nonzero(pred != truth) / total
-
-    if k > PERMUTATION_K_LIMIT:
-        raise ValueError(f"permutation matching supports K <= {PERMUTATION_K_LIMIT}, got {k}")
-    best = total
-    for perm in permutations(range(1, k + 1)):
-        mapping = np.array((0,) + perm)
-        wrong = np.count_nonzero(mapping[pred] != truth)
-        if wrong < best:
-            best = wrong
-    return 100.0 * best / total
+    return 100.0 * np.count_nonzero(pred != truth) / truth.size

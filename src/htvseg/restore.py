@@ -633,8 +633,6 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError("observed image must be 2-D")
-    if f.size == 0:
-        raise ValueError(f"observed image of shape {f.shape} has no pixels")
     omega = np.asarray(omega, dtype=float)
     if omega.shape != f.shape:
         raise ValueError(f"weight shape {omega.shape} does not match image {f.shape}")

@@ -64,8 +64,9 @@ def edge_weight(f: np.ndarray, sigma: float = DEFAULT_SIGMA,
                 contrast: float = DEFAULT_CONTRAST) -> np.ndarray:
     """Edge-indicator field w = 1 / (1 + contrast * |grad f_sigma|^2), in (0, 1].
 
-    An f with NaN or infinite pixels, or pixels above ``grid.MAX_PIXEL`` in
-    magnitude, whose squares would overflow, raises ValueError naming it.
+    An f without pixels, with NaN or infinite pixels, or with pixels above
+    ``grid.MAX_PIXEL`` in magnitude, whose squares would overflow, raises
+    ValueError naming it.
     |grad f_sigma|^2 and w are formed in the planes of f_sigma and of the
     gradient's y component, with the bits of the expression above."""
     if not 0 <= contrast < np.inf:

@@ -2,6 +2,7 @@
 runs over a temp directory."""
 
 import io
+import re
 import warnings
 
 import numpy as np
@@ -101,9 +102,13 @@ def test_parse_phantom_specs():
     "two,disk,8,8,0.2",
     "two,disk,8,eight,0.2,0.8",
     "",
+    # one field past the grammar: fails rather than dropping it
+    "two,text,16,16,0.2,0.8,5",
+    "two,disk,32,32,0.2,0.8,5,99",
+    "three,16,16,0.1,0.5,0.9,6",
 ])
 def test_parse_phantom_rejects(spec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"bad phantom spec {spec!r}")):
         cli._parse_phantom(spec)
 
 
@@ -114,10 +119,9 @@ def test_parse_degrade_specs():
     assert kernel.taps.shape == (5, 5)
     A, kernel = cli._parse_degrade("motion,7,0", (16, 16))
     assert kernel.taps.shape[0] == 1
-    with pytest.raises(ValueError):
-        cli._parse_degrade("box,3", (8, 8))
-    with pytest.raises(ValueError):
-        cli._parse_degrade("gaussian,5", (8, 8))
+    for spec in ("box,3", "gaussian,5", "gaussian,5,5,7", "none,3", "motion,5,0,1"):
+        with pytest.raises(ValueError, match=re.escape(f"bad degrade spec {spec!r}")):
+            cli._parse_degrade(spec, (16, 16))
 
 
 def test_pipeline_requires_exactly_one_source(tmp_path):
@@ -313,7 +317,7 @@ def test_main_rejects_non_finite_input(tmp_path, capsys):
     rc = cli.main(["--input", str(path), "--max-iter", "3",
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    assert "f has 1 non-finite pixel" in capsys.readouterr().err
+    assert "f has 1 non-finite entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value,flags,name", [

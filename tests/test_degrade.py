@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from htvseg.degrade import (BlurKernel, LinearOperatorA, add_gaussian_noise,
-                            apply, apply_adjoint, gaussian_kernel, load_kernel,
+                            apply, apply_adjoint, gaussian_kernel,
                             motion_kernel, save_kernel)
 
 
@@ -42,13 +42,6 @@ def test_kernel_rejects_non_finite_taps(bad):
         BlurKernel(np.array([[bad, 0.5, 0.5]]))
 
 
-def test_load_kernel_rejects_nan_tap(tmp_path):
-    path = tmp_path / "kernel.txt"
-    path.write_text("1 3\nnan 0.5 0.5\n")
-    with pytest.raises(ValueError, match="finite"):
-        load_kernel(path)
-
-
 def test_gaussian_kernel_trivial_sizes():
     assert np.array_equal(gaussian_kernel(1, 2.0).taps, [[1.0]])
     flat = gaussian_kernel(3, 1e6).taps
@@ -71,6 +64,8 @@ def test_gaussian_kernel_formula_oracle():
 def test_gaussian_kernel_rejects_bad_args():
     with pytest.raises(ValueError):
         gaussian_kernel(4, 1.0)
+    with pytest.raises(ValueError, match="kernel size must be an integer, got 5.5"):
+        gaussian_kernel(5.5, 1.0)
     with pytest.raises(ValueError):
         gaussian_kernel(3, 0.0)
 
@@ -237,13 +232,7 @@ def test_kernel_file_round_trip(tmp_path):
     k = motion_kernel(6.5, 37.0)
     path = tmp_path / "kern.txt"
     save_kernel(k, path)
-    k2 = load_kernel(path)
-    assert k2.taps.shape == k.taps.shape
-    assert np.array_equal(k2.taps, k.taps)  # %.17g keeps doubles exact
-
-
-def test_kernel_file_rejects_short_payload(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3 3\n1 2\n")
-    with pytest.raises(ValueError):
-        load_kernel(path)
+    header, _ = path.read_text().split("\n", 1)
+    assert header == f"{k.rows} {k.cols}"
+    taps = np.loadtxt(path, skiprows=1, ndmin=2)
+    assert np.array_equal(taps, k.taps)  # %.17g keeps doubles exact

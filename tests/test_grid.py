@@ -1,12 +1,14 @@
 """Discrete operator tests: hand-evaluated stencils, adjointness against
-brute-force matrix assembly, norms vs naive summation."""
+brute-force matrix assembly, norms vs naive summation; and the input
+range check the pipeline's entry points share."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from htvseg import grid
+from htvseg import cluster, grid, metrics, weight
 
 
 def op_matrix(op, in_shape):
@@ -378,3 +380,29 @@ def test_grad2_shares_the_y_difference_between_xy_and_yy(monkeypatch):
         assert len(calls) == count
         for k, plane in enumerate(planes):
             assert np.array_equal(p[..., k], expected[plane])
+
+
+@pytest.mark.parametrize("name,call,shape", [
+    ("image x", lambda a: grid.check_pixels("image x", a), (0, 3)),
+    ("image f", weight.edge_weight, (0, 0)),
+    ("image to stretch", cluster.stretch, (0, 3)),
+    ("values to cluster", lambda a: cluster.kmeans_1d(a, 2), (0,)),
+    ("image to label", lambda a: cluster.label(a, np.array([0.2, 0.8])), (3, 0)),
+    ("truth", lambda a: metrics.sa(a.astype(int), a.astype(int)), (0,)),
+])
+def test_empty_input_fails_naming_it_and_its_shape(name, call, shape):
+    """An input without entries fails in the shared range check, naming
+    the input and its shape, not in numpy's reduction of an empty array."""
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} of shape {shape} has no pixels")):
+        call(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad,count", [([np.nan], 1), ([np.inf, -np.inf], 2),
+                                       ([np.nan, np.inf, np.nan], 3)])
+def test_finite_range_counts_non_finite_entries(bad, count):
+    a = np.concatenate((np.linspace(0.0, 1.0, 5), bad))
+    word = "entry" if count == 1 else "entries"
+    with pytest.raises(ValueError, match=re.escape(
+            f"a has {count} non-finite {word} (NaN or inf), from src")):
+        grid.finite_range("a", a, "src")

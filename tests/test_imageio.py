@@ -81,18 +81,7 @@ def test_save_pgm_clips_out_of_range(tmp_path):
     assert path.read_bytes().endswith(bytes([0, 255]))
 
 
-def test_save_pgm_16bit_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    field = rng.uniform(0.0, 1.0, size=(5, 7))
-    path = tmp_path / "a.pgm"
-    imageio.save_pgm(field, path, maxval=65535)
-    back = imageio.load_image(path)
-    assert np.max(np.abs(back - field)) <= 0.5 / 65535 + 1e-12
-
-
 def test_save_pgm_rejects_bad_args(tmp_path):
-    with pytest.raises(ValueError):
-        imageio.save_pgm(np.zeros((2, 2)), tmp_path / "a.pgm", maxval=0)
     with pytest.raises(ValueError):
         imageio.save_pgm(np.zeros(4), tmp_path / "a.pgm")
 
@@ -154,22 +143,21 @@ def test_raw_writers_match_header_plus_tobytes(tmp_path, array, save, head):
     assert back.flags.writeable and back.flags.c_contiguous
 
 
-@pytest.mark.parametrize("maxval", [255, 1000])
+@pytest.mark.parametrize("seed", [255, 1000])
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_save_pgm_matches_round_of_clip_in_any_layout(tmp_path, maxval, layout):
-    """The quantized raster is np.round(np.clip(field, 0, 1) * maxval) in
-    row-major order, for a C-ordered, Fortran-ordered or strided field,
-    and the field itself is left alone."""
-    field = np.random.default_rng(maxval).uniform(-0.2, 1.2, size=(9, 14))
+def test_save_pgm_matches_round_of_clip_in_any_layout(tmp_path, seed, layout):
+    """The quantized raster is np.round(np.clip(field, 0, 1) * 255) in
+    row-major order, for two random fields, each C-ordered,
+    Fortran-ordered or strided, and the field itself is left alone."""
+    field = np.random.default_rng(seed).uniform(-0.2, 1.2, size=(9, 14))
     if layout == "F":
         field = np.asfortranarray(field)
     elif layout == "strided":
         field = field[::2, ::3]
     before = field.copy()
     path = tmp_path / "a.pgm"
-    imageio.save_pgm(field, path, maxval=maxval)
-    dtype = ">u2" if maxval > 255 else "u1"
-    expected = np.round(np.clip(field, 0.0, 1.0) * maxval).astype(dtype).tobytes()
+    imageio.save_pgm(field, path)
+    expected = np.round(np.clip(field, 0.0, 1.0) * 255).astype("u1").tobytes()
     height, width = field.shape
-    assert path.read_bytes() == f"P5\n{width} {height}\n{maxval}\n".encode() + expected
+    assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + expected
     assert np.array_equal(field, before)

@@ -435,7 +435,7 @@ def test_run_rejects_non_finite_input(name, bad):
     omega = np.ones(f.shape)
     {"f": f, "omega": omega}[name][2, 3] = bad
     params = SolverParams(lam=0.1, gamma=0.5, max_iter=3)
-    with pytest.raises(ValueError, match=rf"{name} has 1 non-finite pixel"):
+    with pytest.raises(ValueError, match=rf"{name} has 1 non-finite entry"):
         restore.run(f, LinearOperatorA.identity(f.shape), params, omega)
 
 

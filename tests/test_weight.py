@@ -151,7 +151,7 @@ def test_edge_weight_matches_formula_bit_for_bit():
 @pytest.mark.parametrize("value,message", [
     (1e308, "image f spans [0.5, 1e+308]; pixel magnitudes above 1e+100"),
     (-1e308, "image f spans [-1e+308, 0.5]; pixel magnitudes above 1e+100"),
-    (np.nan, "image f has 1 non-finite pixel (NaN or inf)"),
+    (np.nan, "image f has 1 non-finite entry (NaN or inf)"),
 ])
 def test_edge_weight_rejects_huge_or_non_finite_pixel(value, message):
     """A pixel whose square overflows, or a NaN, fails up front naming the
