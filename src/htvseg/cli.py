@@ -57,6 +57,11 @@ _OPTIONS = [
     ("trace", "trace", str, None),
 ]
 
+# report.txt echoes every option in table order except these: the source
+# and degradation-mode lines stand for the first three, truth shows as sa,
+# and the last two only say where output goes.
+_NOT_ECHOED = {"input", "phantom", "apply-degrade", "truth", "out-dir", "trace"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -281,24 +286,14 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     if kernel is not None:
         save_kernel(kernel, out_dir / "kernel.txt")
 
-    lines = [
-        f"source: {source}",
-        f"degradation-mode: {'in-pipeline' if in_pipeline else 'pre-applied'}",
-        f"degrade: {cfg['degrade']}",
-        f"noise-var: {_fmt(cfg['noise_var'])}",
-        f"seed: {cfg['seed']}",
-        f"lambda: {_fmt(cfg['lam'])}",
-        f"gamma: {_fmt(cfg['gamma'])}",
-        f"mu1: {_fmt(cfg['mu1'])}",
-        f"mu2: {_fmt(cfg['mu2'])}",
-        f"mu3: {_fmt(cfg['mu3'])}",
-        f"iota: {_fmt(cfg['iota'])}",
-        f"mode: {'unconstrained' if cfg['unconstrained'] else 'constrained'}",
-        f"eps: {_fmt(cfg['eps'])}",
-        f"max-iter: {cfg['max_iter']}",
-        f"weight-sigma: {_fmt(cfg['weight_sigma'])}",
-        f"weight-varsigma: {_fmt(cfg['weight_varsigma'])}",
-        f"phases: {cfg['phases']}",
+    lines = [f"source: {source}",
+             f"degradation-mode: {'in-pipeline' if in_pipeline else 'pre-applied'}"]
+    for key, dest, _typ, _default in _OPTIONS:
+        if key == "unconstrained":
+            lines.append(f"mode: {'unconstrained' if cfg[dest] else 'constrained'}")
+        elif key not in _NOT_ECHOED:
+            lines.append(f"{key}: {_fmt(cfg[dest])}")
+    lines += [
         f"iterations: {report.iterations}",
         f"termination: {report.termination}",
         f"final-res-q: {_fmt(float(report.res_q[-1]))}",

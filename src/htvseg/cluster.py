@@ -30,17 +30,16 @@ class KMeansResult:
 
 @dataclass(frozen=True)
 class PhaseLabeling:
-    """Per-pixel phase labels in {1..K} with the centers, thresholds and
-    per-phase mean intensities that produced them."""
+    """Per-pixel phase labels in {1..K} with the thresholds that produced
+    them and the per-phase mean intensities."""
 
     labels: np.ndarray
-    centers: np.ndarray
     thresholds: np.ndarray
     phase_means: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.centers)
+        return len(self.phase_means)
 
 
 def stretch(g: np.ndarray) -> np.ndarray:
@@ -236,8 +235,7 @@ def label(g_stretched: np.ndarray, centers: np.ndarray) -> PhaseLabeling:
     for i in range(len(centers)):
         mask = labels == i + 1
         means[i] = g_stretched[mask].mean() if np.any(mask) else centers[i]
-    return PhaseLabeling(labels=labels, centers=centers.copy(),
-                         thresholds=thresholds, phase_means=means)
+    return PhaseLabeling(labels=labels, thresholds=thresholds, phase_means=means)
 
 
 def piecewise_constant(labeling: PhaseLabeling) -> np.ndarray:

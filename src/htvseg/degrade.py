@@ -141,36 +141,35 @@ def _transfer_function(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 class LinearOperatorA:
     """Degradation operator: identity or periodic convolution on a fixed grid.
     A convolution holds its half-spectrum transfer function, shape
-    (m, n//2 + 1); the identity holds none, its symbol is 1 everywhere."""
+    (m, n//2 + 1); the identity is the operator with no transfer function,
+    its symbol is 1 everywhere."""
 
-    kind: str
     shape: tuple[int, int]
     transfer: np.ndarray | None = field(repr=False, default=None)
 
     @staticmethod
     def identity(shape: tuple[int, int]) -> "LinearOperatorA":
-        return LinearOperatorA(kind="identity", shape=tuple(shape))
+        return LinearOperatorA(tuple(shape))
 
     @staticmethod
     def convolution(kernel: BlurKernel, shape: tuple[int, int]) -> "LinearOperatorA":
         shape = tuple(shape)
         if kernel.rows > shape[0] or kernel.cols > shape[1]:
             raise ValueError(f"kernel {kernel.taps.shape} larger than grid {shape}")
-        return LinearOperatorA(kind="convolution", shape=shape,
-                               transfer=_transfer_function(kernel.taps, shape))
+        return LinearOperatorA(shape, _transfer_function(kernel.taps, shape))
 
     @property
     def invertible(self) -> bool:
         """True when no transfer coefficient vanishes (trivial kernel/null space);
         |Ahat(k)| = |Ahat(-k)|, so the half-spectrum holds every magnitude."""
-        if self.kind == "identity":
+        if self.transfer is None:
             return True
         return bool(np.min(np.abs(self.transfer)) > KERNEL_SINGULAR_TOL)
 
     def gain_half(self) -> np.ndarray | float:
         """|Ahat|^2 on the half-spectrum that ``np.fft.rfft2`` returns,
         shape (m, n//2 + 1); the scalar 1.0 for the identity."""
-        if self.kind == "identity":
+        if self.transfer is None:
             return 1.0
         return np.abs(self.transfer) ** 2
 
@@ -189,7 +188,7 @@ def apply(A: LinearOperatorA, g: np.ndarray) -> np.ndarray:
     """Apply the degradation operator: A(g)."""
     g = np.asarray(g, dtype=float)
     A._check_shape(g)
-    if A.kind == "identity":
+    if A.transfer is None:
         return g.copy()
     return _convolve(g, A.transfer)
 
@@ -198,7 +197,7 @@ def apply_adjoint(A: LinearOperatorA, u: np.ndarray) -> np.ndarray:
     """Apply the adjoint operator, <A g, u> = <g, A* u>."""
     u = np.asarray(u, dtype=float)
     A._check_shape(u)
-    if A.kind == "identity":
+    if A.transfer is None:
         return u.copy()
     return _convolve(u, np.conj(A.transfer))
 

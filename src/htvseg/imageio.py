@@ -64,7 +64,7 @@ def _read_raw(data: bytes, magic: bytes, dtype: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"malformed {magic.decode()} dimension line") from exc
     if rows < 1 or cols < 1:
-        raise ValueError(f"bad dimensions {rows}x{cols}")
+        raise ValueError(f"bad {magic.decode()} dimensions {rows}x{cols}")
     offset, count = end_dims + 1, rows * cols
     if len(data) - offset < count * np.dtype(dtype).itemsize:
         raise ValueError(f"truncated {magic.decode()} payload")

@@ -648,7 +648,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     start = params
     laplacians = _laplacian_symbols(A.shape)
     # Nothing writes to A* f, so for the identity it is f itself.
-    adjoint_f = f if A.kind == "identity" else apply_adjoint(A, f)
+    adjoint_f = f if A.transfer is None else apply_adjoint(A, f)
     tolerance = params.epsilon * np.sqrt(f.size)
 
     denom = g_denominator(A, params, laplacians)

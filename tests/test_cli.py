@@ -114,7 +114,7 @@ def test_parse_phantom_rejects(spec):
 
 def test_parse_degrade_specs():
     A, kernel = cli._parse_degrade("none", (8, 8))
-    assert A.kind == "identity" and kernel is None
+    assert A.transfer is None and kernel is None
     A, kernel = cli._parse_degrade("gaussian,5,5", (8, 8))
     assert kernel.taps.shape == (5, 5)
     A, kernel = cli._parse_degrade("motion,7,0", (16, 16))
@@ -384,3 +384,38 @@ def test_report_records_dual_residual_and_final_penalties(tmp_path):
     for i in (1, 2, 3):
         ratio = float(report[f"final-mu{i}"]) / cfg[f"mu{i}"]
         assert ratio == 2.0 ** round(np.log2(ratio))
+
+
+# Options report.txt does not echo: the source and degradation-mode lines
+# stand for the first three, truth shows as sa, and the last two only say
+# where output goes.
+NOT_ECHOED = {"input", "phantom", "apply-degrade", "truth", "out-dir", "trace"}
+
+
+def test_report_echoes_every_option_once_in_table_order(tmp_path, capsys):
+    # A non-default value for every echoed option, spelled as report.txt
+    # prints it; a new option fails here until it gets one.
+    values = {"degrade": "motion,5,10", "noise-var": "0.02", "seed": "7",
+              "lambda": "0.2", "gamma": "2.5", "mu1": "1.5", "mu2": "0.5",
+              "mu3": "2", "iota": "1.2", "unconstrained": None, "eps": "0.002",
+              "max-iter": "6", "weight-sigma": "1.5", "weight-varsigma": "3",
+              "phases": "3"}
+    echoed = [opt for opt in cli._OPTIONS if opt[0] not in NOT_ECHOED]
+    assert [key for key, *_ in echoed] == list(values)
+    spec = "three,24,24,0.1,0.5,0.9"
+    argv = ["--phantom", spec, "--out-dir", str(tmp_path)]
+    expected = [f"source: {cli._parse_phantom(spec).descriptor}",
+                "degradation-mode: in-pipeline"]
+    for key, _dest, typ, default in echoed:
+        if typ is bool:
+            argv.append(f"--{key}")
+            expected.append("mode: unconstrained")
+        else:
+            assert typ(values[key]) != default
+            argv += [f"--{key}", values[key]]
+            expected.append(f"{key}: {values[key]}")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert lines[:len(expected)] == expected
+    assert lines[len(expected)].startswith("iterations: ")

@@ -166,6 +166,12 @@ def test_label_rejects_non_finite(bad):
         cluster.label(np.zeros((2, 2)), np.array([0.1, bad]))
 
 
+@pytest.mark.parametrize("centers", [[0.5], [[0.2, 0.8]]])
+def test_label_rejects_fewer_than_two_centers(centers):
+    with pytest.raises(ValueError, match="need a 1-D array of at least 2 centers"):
+        cluster.label(np.zeros((2, 2)), np.array(centers))
+
+
 def test_label_two_phase():
     g = np.array([[0.0, 0.2], [0.8, 1.0]])
     lab = cluster.label(g, np.array([0.1, 0.9]))

@@ -26,6 +26,8 @@ def conv_oracle(kernel, g):
 
 
 def test_kernel_invariants():
+    with pytest.raises(ValueError, match="kernel taps must be a 2-D array"):
+        BlurKernel(np.array([0.25, 0.5, 0.25]))
     with pytest.raises(ValueError):
         BlurKernel(np.ones((2, 3)) / 6)  # even rows
     with pytest.raises(ValueError):

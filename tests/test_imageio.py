@@ -59,6 +59,21 @@ def test_load_pgm_rejects_malformed(tmp_path, blob):
         imageio.load_image(path)
 
 
+@pytest.mark.parametrize("load,blob,message", [
+    (imageio.load_image, b"P5\n0 2\n255\n", "bad PGM dimensions 0x2"),
+    (imageio.load_image, b"RF64\n2 x\n", "malformed RF64 dimension line"),
+    (imageio.load_image, b"RF64\n0 3\n", "bad RF64 dimensions 0x3"),
+    (imageio.load_labels, b"RI32\n3\n", "malformed RI32 dimension line"),
+    (imageio.load_labels, b"RI32\n3 0\n", "bad RI32 dimensions 3x0"),
+])
+def test_loaders_name_the_format_of_bad_dimensions(tmp_path, load, blob, message):
+    path = tmp_path / "bad"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == message
+
+
 def test_load_pgm_rejects_sample_above_maxval(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 1\n100\n" + bytes([50, 101]))
@@ -84,6 +99,17 @@ def test_save_pgm_clips_out_of_range(tmp_path):
 def test_save_pgm_rejects_bad_args(tmp_path):
     with pytest.raises(ValueError):
         imageio.save_pgm(np.zeros(4), tmp_path / "a.pgm")
+
+
+@pytest.mark.parametrize("save,message", [
+    (imageio.save_raw_float, "can only save 2-D fields"),
+    (imageio.save_labels, "can only save 2-D label maps"),
+])
+def test_savers_reject_3d_arrays_before_writing(tmp_path, save, message):
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        save(np.zeros((2, 2, 2)), path)
+    assert not path.exists()
 
 
 def test_raw_float_round_trip_is_bit_exact(tmp_path):

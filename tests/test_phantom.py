@@ -56,6 +56,13 @@ def test_two_phase_bars_alternate_by_column():
     assert np.array_equal(cols, expected)
 
 
+@pytest.mark.parametrize("n,width", [(80, 10), (12, 2)])
+def test_two_phase_bars_default_width(n, width):
+    p = phantom.make_two_phase(4, n, shape="bars")
+    assert f" w={width} " in p.descriptor
+    assert np.array_equal(p.truth[0], 1 + (np.arange(n) // width) % 2)
+
+
 def test_two_phase_text_has_both_phases():
     p = phantom.make_two_phase(48, 48, shape="text")
     assert set(np.unique(p.truth)) == {1, 2}
@@ -122,3 +129,17 @@ def test_phantom_rejects_non_finite_geometry(make, kwargs, message):
     with pytest.raises(ValueError) as info:
         make(24, 24, **kwargs)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("make,levels,message", [
+    (phantom.make_two_phase, dict(c0=0.8, c1=0.2),
+     "need 0 <= c0 < c1 <= 1, got c0=0.8, c1=0.2"),
+    (phantom.make_two_phase, dict(c0=0.5, c1=0.5),
+     "need 0 <= c0 < c1 <= 1, got c0=0.5, c1=0.5"),
+    (phantom.make_three_phase, dict(c0=0.1, c1=0.9, c2=0.5),
+     "need 0 <= c0 < c1 < c2 <= 1, got (0.1, 0.9, 0.5)"),
+])
+def test_phantom_rejects_levels_out_of_order(make, levels, message):
+    with pytest.raises(ValueError) as info:
+        make(8, 8, **levels)
+    assert str(info.value) == message

@@ -419,6 +419,8 @@ def test_run_shape_checks():
         restore.run(f, A, params, np.ones((4, 5)))
     with pytest.raises(ValueError):
         restore.run(np.zeros((5, 4)), A, params, np.ones((5, 4)))
+    with pytest.raises(ValueError, match="observed image must be 2-D"):
+        restore.run(np.zeros(4), LinearOperatorA.identity((4,)), params, np.ones(4))
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (4, 0)])
