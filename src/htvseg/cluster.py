@@ -10,6 +10,7 @@ centers become the K-1 thresholds that cut the range into phases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .grid import finite_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMeansResult:
     """Sorted cluster centers and their within-cluster sum of squares.
     ``restart_wcss`` holds the energy of each solve; the exact method
@@ -28,7 +29,7 @@ class KMeansResult:
     restart_wcss: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseLabeling:
     """Per-pixel phase labels in {1..K} with the thresholds that produced
     them and the per-phase mean intensities."""
@@ -171,6 +172,8 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     the former restart heuristic keep working.
     """
     values = np.asarray(values, dtype=float).ravel()
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"cluster count k must be an integer, got {k!r}")
     if k < 2:
         raise ValueError(f"need at least 2 clusters, got k={k}")
     finite_range("values to cluster", values)
@@ -198,9 +201,10 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     for c in range(2, k):
         e, arg = _split_layer(e, s1, c, n - k + c, s2 if c == k - 1 else None)
         splits.append(arg)
-    # The tail segment starts after a split the last inner layer solved
-    # (e is inf elsewhere), or, for k = 2, after any of xs[:n-1].
-    j = np.flatnonzero(np.isfinite(e)) if k > 2 else np.arange(1, n)
+    # The tail segment starts after an end point j < n where e is finite:
+    # a split the last inner layer solved (e is inf elsewhere), or, for
+    # k = 2, any of 1..n-1.
+    j = np.flatnonzero(np.isfinite(e[:n]))
     last = e[j] - (s1[n] - s1[j]) ** 2 / (n - j)
     bounds = [n, int(j[np.argmin(last)])]
     for arg in reversed(splits):

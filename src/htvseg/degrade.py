@@ -20,7 +20,7 @@ import numpy as np
 KERNEL_SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlurKernel:
     """Finite, nonnegative, unit-sum convolution kernel with odd dimensions."""
 
@@ -137,7 +137,7 @@ def _transfer_function(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.ascontiguousarray(np.fft.fft2(psf)[:, : n // 2 + 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOperatorA:
     """Degradation operator: identity or periodic convolution on a fixed grid.
     A convolution holds its half-spectrum transfer function, shape

@@ -7,12 +7,13 @@ radius of 0 produces no foreground at all.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Phantom:
     image: np.ndarray
     truth: np.ndarray
@@ -20,6 +21,9 @@ class Phantom:
 
 
 def _check_size(m: int, n: int):
+    for name, size in (("m", m), ("n", n)):
+        if not isinstance(size, numbers.Integral):
+            raise ValueError(f"phantom size {name} must be an integer, got {size!r}")
     if m < 2 or n < 2:
         raise ValueError(f"phantom size must be at least 2x2, got {m}x{n}")
 

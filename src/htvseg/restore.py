@@ -48,14 +48,14 @@ g-solve's symbol, everything that depends on the penalties, at the start
 and again only when a penalty changes. Its g-solve is ``solve_g``, but
 for iteration 1, which assembles its right side from the zero q, b, v, c
 and d that ``init_state`` makes, with no stencil, and hands it to
-``solve_g``'s spectral solve. After each g-solve one loop over
-the table forms each block's K g, relaxes, updates, ascends the dual and
-brackets each block alike, freeing K g before the next block forms its
-own. Each update overwrites its own variable of the state in place, since
-the old value is dead by the time it runs, and returns it.
-``run`` does no I/O: it keeps one record row per iteration and returns
-the rows as a ``ConvergenceReport``. It forms the dual residual and the
-objective only on the iterations that read them.
+``solve_g``'s spectral solve. After each g-solve one loop over the table
+updates the blocks alike (see ``run``). Each update overwrites its own
+variable of the state in place, since the old value is dead by the time it
+runs, and returns it. ``run`` does no I/O: each iteration's blocks write
+their residuals and terms of the objective into its record row as they
+form them, and ``run`` returns the rows as a ``ConvergenceReport``. It
+forms the dual residual and the objective only on the iterations that
+read them.
 
 The frequency-domain denominator is built from 1-D delta responses of the
 very same grid stencils used in the spatial domain, so the solve is exact
@@ -131,7 +131,7 @@ class SolverParams:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """All iterates of one solve. In unconstrained mode z and d are None."""
 
@@ -144,7 +144,7 @@ class SolverState:
     d: np.ndarray | None
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvergenceReport:
     """Per-iteration diagnostics: the raw l2 norms of the primal residuals
     grad2 g - q, grad g - v and g - z, the raw l2 norm of the dual residual
@@ -424,10 +424,9 @@ def objective(u: np.ndarray, f: np.ndarray, A: LinearOperatorA,
     """Model objective ||f - A u||^2 + lam*|(1-w) grad2 u|_1 + gamma*|w grad u|_1
     (box indicator omitted; the caller knows which iterates are feasible).
     Each gradient of u is freed once its term is summed."""
-    data = _data_term(u, f, A)
-    t2 = _tv_term(grid.grad2(u, 3), omega, True)
-    t1 = _tv_term(grid.grad(u), omega, False)
-    return data + params.lam * t2 + params.gamma * t1
+    return (_data_term(u, f, A)
+            + _tv_term(grid.grad2(u, 3), omega, True, params.lam)
+            + _tv_term(grid.grad(u), omega, False, params.gamma))
 
 
 def _data_term(u: np.ndarray, f: np.ndarray, A: LinearOperatorA) -> float:
@@ -437,15 +436,16 @@ def _data_term(u: np.ndarray, f: np.ndarray, A: LinearOperatorA) -> float:
     return float(np.sum(np.multiply(r, r, out=r)))
 
 
-def _tv_term(p: np.ndarray, omega: np.ndarray, second_order: bool) -> float:
-    """The weighted l1 norm sum(w_p |p|) of the objective, w_p = 1 - w for
-    the second-order gradient and w for the first-order one. The weight
-    takes the plane of the magnitude's channel squares, and the product the
-    magnitude's own plane."""
+def _tv_term(p: np.ndarray, omega: np.ndarray, second_order: bool,
+             coefficient: float) -> float:
+    """The objective's term coefficient * sum(w_p |p|), coefficient being
+    lam or gamma, w_p = 1 - w for the second-order gradient and w for the
+    first-order one. The weight takes the plane of the magnitude's channel
+    squares, and the product the magnitude's own plane."""
     scratch = np.empty(p.shape[:-1])
     mag = grid.pixel_magnitude(p, scratch)
     weight = np.subtract(1.0, omega, out=scratch) if second_order else omega
-    return float(np.sum(np.multiply(weight, mag, out=mag)))
+    return coefficient * float(np.sum(np.multiply(weight, mag, out=mag)))
 
 
 def _relative(num: float, den: float) -> float:
@@ -464,7 +464,8 @@ class _Block(NamedTuple):
     auxiliary: np.ndarray       # a: q, v or z
     adjoint: Callable           # the K^T brackets map a by: div2, div, a copy
     mu: float                   # the signed penalty K^T da enters s with
-    energy: Callable | None     # the block's term of the objective, from K g
+    energy: Callable | None     # its weighted term of the objective (lam or gamma
+                                # times sum(w_p |K g|)), from K g
     zero_start: bool            # a is 0 before iteration 1, and so is K^T a
 
 
@@ -488,78 +489,19 @@ def _block_table(state: SolverState, params: SolverParams,
                      partial(update_q, state, params, omega,
                              threshold=q_threshold),
                      state.b, state.q, grid.div2, params.mu1,
-                     partial(_tv_term, omega=omega, second_order=True), True),
+                     partial(_tv_term, omega=omega, second_order=True,
+                             coefficient=params.lam), True),
               _Block(grid.grad,
                      partial(update_v, state, params, omega,
                              threshold=v_threshold),
                      state.c, state.v, grid.div, -params.mu2,
-                     partial(_tv_term, omega=omega, second_order=False), True)]
+                     partial(_tv_term, omega=omega, second_order=False,
+                             coefficient=params.gamma), True)]
     if params.constrained:
         blocks.append(_Block(_identity, lambda _: update_z(state, params),
                              state.d, state.z, np.copy, params.mu3, None,
                              False))
     return blocks
-
-
-def _update_blocks(blocks, g: np.ndarray, relax: bool, bracket: bool,
-                   balancing: bool, evaluate: bool, start: bool
-                   ) -> tuple[list, list, float, list, list]:
-    """Update the blocks of the table ``blocks`` in turn. Each block forms
-    its K g; with ``relax`` its dual first takes the relaxation's step
-    (RELAXATION - 1)(K g - a), formed in a, which the update overwrites;
-    then it forms its primal residual K g - a in the buffer of K g, adds it
-    to its dual, and frees K g before the next block forms its own. The
-    residual of z, whose K g is g itself, takes a plane of its own. With
-    ``bracket`` the update is bracketed by K^T a, and the signed K^T da are
-    summed into s in place; with ``start`` (iteration 1) a block whose a
-    starts at 0 takes K^T of its new a as K^T da, since subtracting the +0
-    plane K^T 0 would leave its bits. With ``balancing`` each block records
-    |K g|, and with ``evaluate`` its term of the objective.
-
-    Returns the raw primal residual norms, the norms |K^T da| and |s| (or
-    [] and NaN unbracketed), the norms |K g| (or [] off balancing) and the
-    objective's terms (or [] unevaluated)."""
-    raw, steps, sizes, terms, s = [], [], [], [], None
-    for K, update, dual, auxiliary, adjoint, mu, energy, zero_start in blocks:
-        before = None
-        if bracket and not (start and zero_start):
-            before = adjoint(auxiliary)
-        kg = K(g)
-        if balancing:
-            sizes.append(grid.norm_l2(kg))
-        if evaluate and energy is not None:
-            terms.append(energy(kg))
-        if relax:
-            np.subtract(kg, auxiliary, out=auxiliary)
-            auxiliary *= RELAXATION - 1.0
-            dual += auxiliary
-        update(kg)
-        residual = np.subtract(kg, auxiliary, out=None if kg is g else kg)
-        raw.append(grid.norm_l2(residual))
-        dual += residual
-        del kg, residual
-        if bracket:
-            change = adjoint(auxiliary)
-            if before is not None:
-                change = np.subtract(change, before, out=before)
-            steps.append(grid.norm_l2(change))
-            change *= mu
-            s = change if s is None else np.add(s, change, out=s)
-            del before, change
-    return raw, steps, (grid.norm_l2(s) if bracket else np.nan), sizes, terms
-
-
-def _balance_residuals(blocks, raw, sizes, steps) -> tuple[tuple, tuple]:
-    """The blocks' relative primal and dual residuals of a balancing
-    iteration, after its dual updates, as :func:`balance_penalties` takes
-    them, with |a| and |K^T y| read from the table ``blocks``. ``raw`` holds
-    the raw primal residual norms, ``sizes`` |grad2 g|, |grad g|, |g| and
-    ``steps`` |div2(dq)|, |div(dv)|, |dz|."""
-    primal = tuple(_relative(r, max(size, grid.norm_l2(block.auxiliary)))
-                   for r, size, block in zip(raw, sizes, blocks))
-    dual = tuple(_relative(step, grid.norm_l2(block.adjoint(block.dual)))
-                 for step, block in zip(steps, blocks))
-    return primal, dual
 
 
 def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
@@ -576,12 +518,28 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     stops at the same iteration. A residual that stays exactly 0, such as
     |g - z| under an inactive box, neither blocks nor trips it.
 
+    Each iteration solves for g and starts its record row (res_q, res_v,
+    res_z, res_dual, mu1, mu2, mu3, energy) with NaN residuals, the
+    penalties it runs with and, if it evaluates the objective, the data
+    term ||f - A g||^2. One loop over the block table then updates the
+    blocks in turn, and each block writes its own fields into the row as it
+    forms them. A block forms its K g and adds its term of the objective,
+    lam or gamma times the weighted l1 norm of K g, to the energy. In an
+    over-relaxed iteration its dual then takes the relaxation's step
+    (RELAXATION - 1)(K g - a), formed in a, which the update overwrites.
+    After the update it forms its primal residual K g - a in the buffer of
+    K g (z, whose K g is g itself, takes a plane of its own), writes the
+    residual's norm at its column, adds the residual to its dual, and frees
+    K g before the next block forms its own. An unconstrained run has no z
+    block, so its res_z stays NaN.
+
     s is evaluated only on balancing iterations, on iteration 1, and on the
     iteration after the first one whose primal residuals pass, unless that
     one evaluated s itself; only those iterations can stop the run. Such an
     iteration brackets each update with K^T of its variable (div2 q, div v,
-    a copy of z), a plane rather than a copy of q or v, and adds each change
-    times the signed penalty the iteration ran with into s in place.
+    a copy of z), a plane rather than a copy of q or v, adds each change
+    K^T da times the signed penalty the iteration ran with into s in place,
+    and writes |s| after the last block.
 
     Iteration 1 starts from init_state, whose q, b, v, c and d are 0: its
     right side is A*f (+ mu3 z0) with no div2 or div, and its bracket takes
@@ -589,42 +547,38 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     the zero q0 and v0. Both are the bits the general steps would give.
 
     Every BALANCE_EVERY-th iteration but the last allowed one is a
-    balancing iteration: it also forms each block's relative residuals
-    and calls :func:`balance_penalties`. The block table, with its shrink
-    thresholds and signed penalties, and the g-solve's symbol are built at
-    the start; the table is rebuilt when a penalty changes, and the symbol
-    with it. params.mu1..3 are the starting penalties. The objective is
-    evaluated on balancing iterations and on iteration max_iter, from the
-    data term and each block's K g, the terms :func:`objective` sums, so
-    bit for bit its value; only a run that stops by tolerance off the
-    balancing schedule calls :func:`objective` for its final iterate.
-    report.objective is NaN on the other iterations. Every iteration after
-    iteration BALANCE_EVERY is over-relaxed by RELAXATION, as the module
-    docstring describes; the residuals it reports and stops on are the
-    unrelaxed ones.
+    balancing iteration: right after its dual update each block forms its
+    relative primal residual |K g - a| / max(|K g|, |a|) and its relative
+    dual residual |K^T da| / |K^T y|, and the iteration hands them to
+    :func:`balance_penalties`. The block table, with its shrink thresholds
+    and signed penalties, and the g-solve's symbol are built at the start;
+    the table is rebuilt when a penalty changes, and the symbol with it.
+    params.mu1..3 are the starting penalties. The objective is evaluated on
+    balancing iterations and on iteration max_iter, its terms summed in
+    :func:`objective`'s order, so bit for bit its value; only a run that
+    stops by tolerance off the balancing schedule calls :func:`objective`
+    for its final iterate. report.objective is NaN on the other
+    iterations. Every iteration after iteration BALANCE_EVERY is
+    over-relaxed by RELAXATION, as the module docstring describes; the
+    residuals it reports and stops on are the unrelaxed ones.
 
     Returns (restored, report): restored is the box iterate z in constrained
     mode (it is the iterate that honors the constraint; z and g coincide in
     the limit) and g in unconstrained mode, uncopied since nothing else
-    holds it. report holds the one record row each iteration appended
-    (its residual norms, penalties and objective); ``run`` writes nothing.
+    holds it. report holds the iterations' rows; ``run`` writes nothing.
 
-    Each iteration computes grad2 g and grad g once. A block's K g lives
-    only through that block's update: it feeds the relaxation, the update
-    and, on balancing iterations, |K g| and the block's energy term, then
-    takes the block's primal residual for its norm and its dual update, and
-    is freed before the next block forms its own, so grad2 g and grad g are
-    never alive together. The working set, in (m, n) float planes, is the
-    13 of the state (g, z, d one each, v and c two, q and b three, as
-    symmetric (xx, xy, yy) fields) and the run's constants (the shrink
-    thresholds, two; the g-solve's symbol and the two Laplacian symbols,
-    half-spectra of about half a plane each; A* f with blur, one, while for
-    the identity it is f itself), plus the transients of the step in hand:
-    at most six, in the q block (grad2 g's three, a bracket plane, the
-    shrink's magnitude and scale), and four in the g-solve (q - b's three
-    and div2's result, its stencils working in the planes of q - b), about
-    23 planes in all at 512^2. The state, the block
-    table and the symbols are freed before that call to :func:`objective`.
+    Each iteration computes grad2 g and grad g once, and never holds the
+    two together. The working set, in (m, n) float planes, is the 13 of the
+    state (g, z, d one each, v and c two, q and b three, as symmetric
+    (xx, xy, yy) fields) and the run's constants (the shrink thresholds,
+    two; the g-solve's symbol and the two Laplacian symbols, half-spectra
+    of about half a plane each; A* f with blur, one, while for the identity
+    it is f itself), plus the transients of the step in hand: at most six,
+    in the q block (grad2 g's three, a bracket plane, the shrink's
+    magnitude and scale), and four in the g-solve (q - b's three and
+    div2's result, its stencils working in the planes of q - b), about 23
+    planes in all at 512^2. The state, the block table and the symbols are
+    freed before that call to :func:`objective`.
     A* f and the symbols of div2 grad2 and div grad are computed once per
     run. An image without pixels, and NaN or infinite pixels in f or omega
     or pixels above ``grid.MAX_PIXEL`` in magnitude, raise ValueError up
@@ -663,32 +617,60 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         evaluate = balancing or k == params.max_iter
         bracketed = balancing or k == check_at
         if k == 1:      # q, b, v, c and d are still init_state's zeros
-            rhs = _right_side(state, params, adjoint_f, start=True)
-            state.g = _spectral_solve(rhs, denom)
-            del rhs
+            state.g = _spectral_solve(
+                _right_side(state, params, adjoint_f, start=True), denom)
         else:
             state.g = solve_g(state, params, A, f, denom, adjoint_f)
-        if not np.isfinite(state.g).all():
+        g = state.g
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
-        raw, steps, rs, sizes, terms = _update_blocks(
-            blocks, state.g, k > BALANCE_EVERY, bracketed, balancing, evaluate,
-            k == 1)
-        rq, rv, rz = raw if params.constrained else (*raw, np.nan)
-        energy = (_data_term(state.g, f, A) + params.lam * terms[0]
-                  + params.gamma * terms[1] if evaluate else np.nan)
+        row = [np.nan] * 4 + [params.mu1, params.mu2, params.mu3,
+                              _data_term(g, f, A) if evaluate else np.nan]
+        pairs, s = [], None     # blocks' relative (primal, dual) residuals; s
+        for column, (K, update, dual, auxiliary, adjoint, mu, energy,
+                     zero_start) in enumerate(blocks):
+            before = (adjoint(auxiliary) if bracketed and not (k == 1 and zero_start)
+                      else None)
+            kg = K(g)
+            if evaluate and energy is not None:
+                row[7] += energy(kg)
+            if k > BALANCE_EVERY:
+                np.subtract(kg, auxiliary, out=auxiliary)
+                auxiliary *= RELAXATION - 1.0
+                dual += auxiliary
+            update(kg)
+            if balancing:
+                size = max(grid.norm_l2(kg), grid.norm_l2(auxiliary))
+            residual = np.subtract(kg, auxiliary, out=None if kg is g else kg)
+            row[column] = grid.norm_l2(residual)
+            dual += residual
+            del kg, residual
+            if bracketed:
+                change = adjoint(auxiliary)
+                if before is not None:
+                    change = np.subtract(change, before, out=before)
+                step = grid.norm_l2(change)
+                if balancing:
+                    pairs.append((_relative(row[column], size),
+                                  _relative(step, grid.norm_l2(adjoint(dual)))))
+                change *= mu
+                s = change if s is None else np.add(s, change, out=s)
+                del before, change
+        if bracketed:
+            row[3] = grid.norm_l2(s)
+            del s
 
-        primal_pass = max(raw) <= tolerance
+        primal_pass = max(row[:len(blocks)]) <= tolerance
         if primal_pass and not primal_passed and not bracketed:
             check_at = k + 1
         primal_passed = primal_passed or primal_pass
 
-        rows.append((rq, rv, rz, rs, params.mu1, params.mu2, params.mu3, energy))
+        rows.append(row)
 
-        stop = primal_pass and rs <= tolerance
+        stop = primal_pass and row[3] <= tolerance
         if balancing and not stop:
-            primal_rel, dual_rel = _balance_residuals(blocks, raw, sizes, steps)
-            balanced = balance_penalties(state, params, start, primal_rel, dual_rel)
+            balanced = balance_penalties(state, params, start, *zip(*pairs))
             if balanced is not params:
                 params = balanced
                 denom = g_denominator(A, params, laplacians)
@@ -697,7 +679,6 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             termination = "tolerance"
             break
 
-    g = state.g
     restored = state.z if params.constrained else g
     del state, blocks, denom, laplacians
     record = np.array(rows)

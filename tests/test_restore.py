@@ -590,6 +590,38 @@ def test_run_takes_final_energy_from_its_last_iteration(monkeypatch, blur,
 
 @pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
 @pytest.mark.parametrize("constrained", [True, False])
+def test_run_energy_is_the_objective_of_its_iterate(monkeypatch, blur,
+                                                    constrained):
+    """Every energy the run evaluates, on its balancing iterations 5 and 10
+    and on its last iteration, is objective() of that iteration's g bit for
+    bit, though the run sums it from the terms its blocks form."""
+    solve, iterates = restore._spectral_solve, []
+
+    def logging(*args):
+        iterates.append(solve(*args))
+        return iterates[-1]
+
+    monkeypatch.setattr(restore, "_spectral_solve", logging)
+    shape = (12, 16)
+    rng = np.random.default_rng(30)
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=12,
+                          constrained=constrained)
+    _, report = restore.run(f, A, params, omega)
+    monkeypatch.undo()
+    assert len(iterates) == report.iterations == params.max_iter
+    evaluated = np.flatnonzero(~np.isnan(report.objective))
+    assert list(evaluated + 1) == [5, 10, 12]
+    for k in evaluated:
+        assert report.objective[k] == restore.objective(iterates[k], f, A,
+                                                        params, omega)
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+@pytest.mark.parametrize("constrained", [True, False])
 @pytest.mark.parametrize("signed_zeros", [False, True])
 def test_run_first_g_matches_solve_g_from_init_state(monkeypatch, blur,
                                                      constrained, signed_zeros):
