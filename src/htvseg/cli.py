@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -73,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "three,M,N,c0,c1,c2[,r_out,r_in]. "
                "Degrade specs: none | gaussian,S,SIGMA | motion,LEN,THETA. "
                "Config file: one 'key value' (or 'key = value') pair per "
-               "line, keys named like the flags; flags win.")
+               "line, keys named like the flags, '#' at a line's start or "
+               "after whitespace starting a comment; flags win.")
     p.add_argument("--config", help="flat key-value config file")
     for key, dest, typ, _default in _OPTIONS:
         if typ is bool:
@@ -84,11 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# A config comment starts with '#' at a line's start or after whitespace,
+# so that a value such as the path runs/scan#3 keeps its '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _read_config(path: str) -> dict:
     keys = {key: (dest, typ) for key, dest, typ, _ in _OPTIONS}
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         parts = line.replace("=", " ", 1).split(None, 1)
@@ -232,9 +239,14 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     weight.smoothing_radius(cfg["weight_sigma"], "--weight-sigma")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The trace is written after the solve; a missing directory fails now.
-    if cfg["trace"] is not None and not Path(cfg["trace"]).parent.is_dir():
-        raise ValueError(f"--trace directory {Path(cfg['trace']).parent} does not exist")
+    # The trace is written after the solve; a path it cannot be written to
+    # fails now.
+    if cfg["trace"] is not None:
+        trace = Path(cfg["trace"])
+        if not trace.parent.is_dir():
+            raise ValueError(f"--trace directory {trace.parent} does not exist")
+        if trace.is_dir():
+            raise ValueError(f"--trace {trace} is a directory")
     t0 = time.perf_counter()
     if in_pipeline:
         grid.check_pixels("clean image", clean, source)

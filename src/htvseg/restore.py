@@ -41,11 +41,13 @@ The step functions (``solve_g``, ``update_q``, ``update_v``, ``update_z``,
 ascent by its primal residual are the whole iteration; ``update_duals`` is
 that ascent for all three blocks at once, formed from the state, for
 callers that step the iteration themselves. ``run`` tables the blocks q,
-v, z with their K (grad2, grad, the identity), update call with its shrink
-threshold, scaled dual, auxiliary, K^T (div2, div, a copy), signed penalty
-(+mu1, -mu2, +mu3) and term of the objective. It builds that table and the
-g-solve's symbol, everything that depends on the penalties, at the start
-and again only when a penalty changes. Its g-solve is ``solve_g``, but
+v, z with their K (grad2, grad, the identity), update call, scaled dual,
+auxiliary, K^T (div2, div, the identity), signed penalty (+mu1, -mu2,
++mu3) and term of the objective. It builds that table and the g-solve's
+symbol, everything that depends on the penalties, at the start and again
+only when a penalty changes. The shrinks form their per-pixel thresholds
+(lam/mu1)(1 - w) and (gamma/mu2) w inside their scale's plane, so no
+threshold outlives its update. Its g-solve is ``solve_g``, but
 for iteration 1, which assembles its right side from the zero q, b, v, c
 and d that ``init_state`` makes, with no stencil, and hands it to
 ``solve_g``'s spectral solve. After each g-solve one loop over the table
@@ -62,8 +64,10 @@ very same grid stencils used in the spatial domain, so the solve is exact
 to rounding, not merely to an analytic symbol's transcription: the symbol
 of div grad is the outer sum of the second difference's symbols along x
 and y, and that of div2 grad2 its square, since div2 grad2 = (div grad)^2
-for these periodic stencils. Fields are real, so the solve uses the
-``rfft2``/``irfft2`` pair and the symbol's half-spectrum.
+for these periodic stencils. ``run`` keeps only the two 1-D symbols;
+:func:`g_denominator` forms the 2-D ones for the moment it needs them.
+Fields are real, so the solve uses the ``rfft2``/``irfft2`` pair and the
+symbol's half-spectrum.
 """
 
 from __future__ import annotations
@@ -199,16 +203,16 @@ def _second_difference_symbol(size: int, transform) -> np.ndarray:
 
 
 def _laplacian_symbols(shape) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum symbols (L1, L2) of div2 grad2 and div grad, shape
-    (m, n//2 + 1). div grad is D-x D+x + D-y D+y, so L2 is the outer sum of
-    the 1-D symbols of the second difference along x (full spectrum) and y
-    (half); each is real and <= 0. div2 grad2 = (div grad)^2 for these
-    periodic stencils: its mixed term is the adjoint of D-x D+y applied to
-    itself, twice, with symbol 2 |D-x|^2 |D+y|^2 = 2 L2x L2y, so L1 = L2^2."""
+    """The 1-D symbols (L2x, L2y) of the periodic second difference along x
+    (full spectrum, length m) and y (half, length n//2 + 1); each is real
+    and <= 0. Their outer sum is the half-spectrum symbol L2 of div grad =
+    D-x D+x + D-y D+y, and L1 = L2^2 that of div2 grad2, which equals
+    (div grad)^2 for these periodic stencils: its mixed term is the adjoint
+    of D-x D+y applied to itself, twice, with symbol 2 |D-x|^2 |D+y|^2 =
+    2 L2x L2y. Only :func:`g_denominator` forms L2 and L1."""
     m, n = shape
-    L2 = np.add.outer(_second_difference_symbol(m, np.fft.fft),
-                      _second_difference_symbol(n, np.fft.rfft))
-    return np.square(L2), L2
+    return (_second_difference_symbol(m, np.fft.fft),
+            _second_difference_symbol(n, np.fft.rfft))
 
 
 def g_denominator(A: LinearOperatorA, params: SolverParams,
@@ -220,14 +224,20 @@ def g_denominator(A: LinearOperatorA, params: SolverParams,
     operator, so D is real and symmetric and the half determines the rest.
     Bounded below by mu3 (by 0 off the zero frequency in unconstrained
     mode): div2 grad2 is positive semidefinite and div grad negative
-    semidefinite. ``laplacians`` is the pair of symbols of div2 grad2 and
-    div grad, which do not depend on mu; it is built here when not given."""
-    L1, L2 = _laplacian_symbols(A.shape) if laplacians is None else laplacians
-    # D accumulates in one buffer, in the order of the sum above, so its
-    # bits are those of the sum of new arrays.
-    D = np.multiply(L1, params.mu1)
+    semidefinite. ``laplacians`` is :func:`_laplacian_symbols`' 1-D pair,
+    which does not depend on mu; it is built here when not given. Its
+    outer sum L2 is a half-spectrum plane of this call only, and L1 = L2^2
+    is formed in D's own buffer."""
+    L2x, L2y = _laplacian_symbols(A.shape) if laplacians is None else laplacians
+    L2 = np.add.outer(L2x, L2y)
+    # D accumulates in one buffer, in the order of the sum above, and each
+    # term is scaled in its own buffer, so its bits are those of the sum of
+    # new arrays.
+    D = np.square(L2)
+    D *= params.mu1
     D += A.gain_half()
-    D -= np.multiply(L2, params.mu2)
+    L2 *= params.mu2
+    D -= L2
     if params.constrained:
         D += params.mu3
         assert np.all(D >= params.mu3 - 1e-12)
@@ -292,56 +302,56 @@ def _spectral_solve(rhs: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(spectrum, s=rhs.shape)
 
 
-def _shrink(h: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """Isotropic vector soft-thresholding with a per-pixel threshold:
-    h <- max(|h| - t, 0) * h/|h|. Overwrites h and returns it. The scale
-    shares its plane with the channel squares of |h|. Every threshold is
-    >= 0, so a positive scale implies |h| > 0, and only those pixels are
-    divided; the rest keep the scale 0, so |h| = 0 gives 0, not NaN."""
+def _shrink(h: np.ndarray, omega: np.ndarray, second_order: bool,
+            coefficient: float) -> np.ndarray:
+    """Isotropic vector soft-thresholding with the per-pixel threshold
+    c w_p, c being lam/mu1 or gamma/mu2 and w_p = 1 - w for q or w for v:
+    h <- max(1 - c w_p/|h|, 0) h. Overwrites h and returns it. The scale
+    is formed in the plane of the channel squares of |h|, w_p with it (w
+    is read as given). c w_p >= 0, and where |h| = 0 the quotient is inf
+    or NaN, whose scale max(-inf or NaN, 0) is 0, so |h| = 0 gives 0, not
+    NaN. So does a subnormal h, whose squares underflow to |h| = 0, and a
+    quotient that overflows to inf."""
     scale = np.empty(h.shape[:-1])
     mag = grid.pixel_magnitude(h, scale)
-    np.subtract(mag, threshold, out=scale)
-    np.maximum(scale, 0.0, out=scale)
-    np.divide(scale, mag, out=scale, where=scale > 0)
+    weight = np.subtract(1.0, omega, out=scale) if second_order else omega
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(weight, coefficient, out=scale)
+        scale /= mag
+    np.subtract(1.0, scale, out=scale)
+    np.fmax(scale, 0.0, out=scale)
     h *= scale[..., None]
     return h
 
 
 def update_q(state: SolverState, params: SolverParams, omega: np.ndarray,
-             grad2_g: np.ndarray | None = None,
-             threshold: np.ndarray | None = None) -> np.ndarray:
-    """Shrink b + grad2 g with per-pixel threshold lam*(1 - w)/mu1.
+             grad2_g: np.ndarray | None = None) -> np.ndarray:
+    """Shrink b + grad2 g with per-pixel threshold (lam/mu1)(1 - w).
 
     The result overwrites state.q (the old q is dead once g is solved) and
     is returned. It takes the layout of b, symmetric (xx, xy, yy) or four
     channels, and a q of the other layout is replaced. ``grad2_g`` is grad2
-    of state.g in that layout and ``threshold`` is lam*(1 - w)/mu1; each is
-    computed here if not given.
+    of state.g in that layout, computed here if not given.
     """
     if grad2_g is None:
         grad2_g = grid.grad2(state.g, state.b.shape[-1])
-    if threshold is None:
-        threshold = params.lam * (1.0 - omega) / params.mu1
     q = state.q if state.q.shape == state.b.shape else None
-    state.q = _shrink(np.add(state.b, grad2_g, out=q), threshold)
+    state.q = _shrink(np.add(state.b, grad2_g, out=q), omega, True,
+                      params.lam / params.mu1)
     return state.q
 
 
 def update_v(state: SolverState, params: SolverParams, omega: np.ndarray,
-             grad_g: np.ndarray | None = None,
-             threshold: np.ndarray | None = None) -> np.ndarray:
-    """Shrink c + grad g with per-pixel threshold gamma*w/mu2.
+             grad_g: np.ndarray | None = None) -> np.ndarray:
+    """Shrink c + grad g with per-pixel threshold (gamma/mu2) w.
 
     The result overwrites state.v and is returned. ``grad_g`` is grad of
-    state.g and ``threshold`` is gamma*w/mu2; each is computed here if not
-    given.
+    state.g, computed here if not given.
     """
     if grad_g is None:
         grad_g = grid.grad(state.g)
-    if threshold is None:
-        threshold = params.gamma * omega / params.mu2
     h = np.add(state.c, grad_g, out=state.v)
-    return _shrink(h, threshold)
+    return _shrink(h, omega, False, params.gamma / params.mu2)
 
 
 def update_z(state: SolverState, params: SolverParams) -> np.ndarray:
@@ -462,7 +472,7 @@ class _Block(NamedTuple):
     update: Callable            # the block's update step, given K g
     dual: np.ndarray            # the scaled dual y: b, c or d
     auxiliary: np.ndarray       # a: q, v or z
-    adjoint: Callable           # the K^T brackets map a by: div2, div, a copy
+    adjoint: Callable           # the K^T brackets map a by: div2, div, the identity
     mu: float                   # the signed penalty K^T da enters s with
     energy: Callable | None     # its weighted term of the objective (lam or gamma
                                 # times sum(w_p |K g|)), from K g
@@ -476,30 +486,21 @@ def _identity(g: np.ndarray) -> np.ndarray:
 def _block_table(state: SolverState, params: SolverParams,
                  omega: np.ndarray) -> list[_Block]:
     """``run``'s block table for the penalties of ``params``: the q and v
-    updates with their shrink thresholds lam*(1 - w)/mu1 and gamma*w/mu2,
-    and, in constrained mode, the z update, each with its signed penalty.
-    Each threshold is formed in place in its own plane, in the order of
-    the expression, so its bits are the expression's."""
-    q_threshold = np.subtract(1.0, omega)
-    q_threshold *= params.lam
-    q_threshold /= params.mu1
-    v_threshold = np.multiply(omega, params.gamma)
-    v_threshold /= params.mu2
+    updates, which shrink with thresholds (lam/mu1)(1 - w) and
+    (gamma/mu2) w, and, in constrained mode, the z update, each with its
+    signed penalty."""
     blocks = [_Block(partial(grid.grad2, channels=state.q.shape[-1]),
-                     partial(update_q, state, params, omega,
-                             threshold=q_threshold),
+                     partial(update_q, state, params, omega),
                      state.b, state.q, grid.div2, params.mu1,
                      partial(_tv_term, omega=omega, second_order=True,
                              coefficient=params.lam), True),
-              _Block(grid.grad,
-                     partial(update_v, state, params, omega,
-                             threshold=v_threshold),
+              _Block(grid.grad, partial(update_v, state, params, omega),
                      state.c, state.v, grid.div, -params.mu2,
                      partial(_tv_term, omega=omega, second_order=False,
                              coefficient=params.gamma), True)]
     if params.constrained:
         blocks.append(_Block(_identity, lambda _: update_z(state, params),
-                             state.d, state.z, np.copy, params.mu3, None,
+                             state.d, state.z, _identity, params.mu3, None,
                              False))
     return blocks
 
@@ -537,9 +538,10 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     iteration after the first one whose primal residuals pass, unless that
     one evaluated s itself; only those iterations can stop the run. Such an
     iteration brackets each update with K^T of its variable (div2 q, div v,
-    a copy of z), a plane rather than a copy of q or v, adds each change
-    K^T da times the signed penalty the iteration ran with into s in place,
-    and writes |s| after the last block.
+    a copy of z, which its update overwrites), a plane rather than a copy
+    of q or v, forms each change K^T da in the plane of the bracket's first
+    side, adds it times the signed penalty the iteration ran with into s in
+    place, and writes |s| after the last block.
 
     Iteration 1 starts from init_state, whose q, b, v, c and d are 0: its
     right side is A*f (+ mu3 z0) with no div2 or div, and its bracket takes
@@ -550,8 +552,8 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     balancing iteration: right after its dual update each block forms its
     relative primal residual |K g - a| / max(|K g|, |a|) and its relative
     dual residual |K^T da| / |K^T y|, and the iteration hands them to
-    :func:`balance_penalties`. The block table, with its shrink thresholds
-    and signed penalties, and the g-solve's symbol are built at the start;
+    :func:`balance_penalties`. The block table, with its signed penalties,
+    and the g-solve's symbol are built at the start;
     the table is rebuilt when a penalty changes, and the symbol with it.
     params.mu1..3 are the starting penalties. The objective is evaluated on
     balancing iterations and on iteration max_iter, its terms summed in
@@ -570,19 +572,20 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     Each iteration computes grad2 g and grad g once, and never holds the
     two together. The working set, in (m, n) float planes, is the 13 of the
     state (g, z, d one each, v and c two, q and b three, as symmetric
-    (xx, xy, yy) fields) and the run's constants (the shrink thresholds,
-    two; the g-solve's symbol and the two Laplacian symbols, half-spectra
-    of about half a plane each; A* f with blur, one, while for the identity
-    it is f itself), plus the transients of the step in hand: at most six,
-    in the q block (grad2 g's three, a bracket plane, the shrink's
-    magnitude and scale), and four in the g-solve (q - b's three and
-    div2's result, its stencils working in the planes of q - b), about 23
-    planes in all at 512^2. The state, the block table and the symbols are
-    freed before that call to :func:`objective`.
-    A* f and the symbols of div2 grad2 and div grad are computed once per
-    run. An image without pixels, and NaN or infinite pixels in f or omega
-    or pixels above ``grid.MAX_PIXEL`` in magnitude, raise ValueError up
-    front, naming the input.
+    (xx, xy, yy) fields) and the run's constants (the g-solve's symbol, a
+    half-spectrum of about half a plane; A* f with blur, one, while for the
+    identity it is f itself; the two 1-D Laplacian symbols are negligible),
+    plus the transients of the step in hand: at most six, in the q block
+    (grad2 g's three, a bracket plane, the shrink's magnitude and scale, in
+    which its threshold is formed), and four in the g-solve (q - b's three
+    and div2's result, its stencils working in the planes of q - b). By
+    tracemalloc a run peaks at 19.5 planes at 512^2 for the identity and
+    20.5 under blur, in a bracketed iteration's q block. The state, the
+    block table and the symbols are freed before that call to
+    :func:`objective`. A* f and the 1-D symbols of the second difference
+    are computed once per run. An image without pixels, and NaN or
+    infinite pixels in f or omega or pixels above ``grid.MAX_PIXEL`` in
+    magnitude, raise ValueError up front, naming the input.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
@@ -630,8 +633,11 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
         pairs, s = [], None     # blocks' relative (primal, dual) residuals; s
         for column, (K, update, dual, auxiliary, adjoint, mu, energy,
                      zero_start) in enumerate(blocks):
-            before = (adjoint(auxiliary) if bracketed and not (k == 1 and zero_start)
-                      else None)
+            before = None
+            if bracketed and not (k == 1 and zero_start):
+                before = adjoint(auxiliary)
+                if before is auxiliary:     # z, which its update overwrites
+                    before = before.copy()
             kg = K(g)
             if evaluate and energy is not None:
                 row[7] += energy(kg)

@@ -18,6 +18,8 @@ def base_cfg(**overrides):
 
 
 def test_read_config_forms(tmp_path):
+    """'#' starts a comment at a line's start or after whitespace (a space
+    or a tab); inside a value, as in the path runs/scan#3, it is kept."""
     path = tmp_path / "run.cfg"
     path.write_text(
         "# a comment\n"
@@ -25,11 +27,14 @@ def test_read_config_forms(tmp_path):
         "gamma = 2.5\n"
         "max-iter 40   # trailing comment\n"
         "unconstrained true\n"
-        "out-dir results\n"
+        "out-dir runs/scan#3\n"
+        "trace runs/trace#1.tsv\t# after a tab\n"
+        "#eps 9\n"
         "\n")
     cfg = cli._read_config(str(path))
     assert cfg == {"lam": 0.25, "gamma": 2.5, "max_iter": 40,
-                   "unconstrained": True, "out_dir": "results"}
+                   "unconstrained": True, "out_dir": "runs/scan#3",
+                   "trace": "runs/trace#1.tsv"}
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
@@ -265,6 +270,7 @@ def test_pipeline_trace_file(tmp_path):
      "bad phantom spec 'two,bars,24,24,0.2,0.8,1e30': bar_width must be in [1, 24], got 1e+30"),
     (["--weight-sigma", "1e12"],
      "--weight-sigma 1e+12 needs 6000000000001 smoothing taps, more than 1048576"),
+    (["--trace", "."], "--trace . is a directory"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):
