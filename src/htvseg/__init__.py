@@ -4,10 +4,11 @@ Stage 1 restores a noisy, possibly blurred image by minimizing a
 box-constrained hybrid first/second-order total variation energy with an
 alternating split Bregman scheme. Stage 2 stretches the restoration to
 [0,1], clusters its intensities with 1-D K-means and thresholds at the
-midpoints between consecutive cluster centers.
+midpoints between consecutive cluster centers; ``segment`` runs it.
 """
 
-from .cluster import KMeansResult, PhaseLabeling, kmeans_1d, label, piecewise_constant, stretch
+from .cluster import (KMeansResult, PhaseLabeling, kmeans_1d, label,
+                      piecewise_constant, segment, stretch)
 from .degrade import (BlurKernel, LinearOperatorA, add_gaussian_noise,
                       gaussian_kernel, motion_kernel)
 from .metrics import sa
@@ -22,5 +23,5 @@ __all__ = [
     "Phantom", "PhaseLabeling", "SolverParams", "add_gaussian_noise",
     "edge_weight", "gaussian_kernel", "gaussian_smooth", "kmeans_1d",
     "label", "make_three_phase", "make_two_phase", "motion_kernel",
-    "objective", "piecewise_constant", "run", "sa", "stretch",
+    "objective", "piecewise_constant", "run", "sa", "segment", "stretch",
 ]

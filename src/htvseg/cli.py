@@ -201,21 +201,19 @@ def _fmt_seq(values) -> str:
 
 
 def run_pipeline(cfg: dict, stdout=None) -> int:
+    """Ingest, check, weight, restore, segment, write: the checks all run first."""
     stdout = stdout if stdout is not None else sys.stdout
     if (cfg["input"] is None) == (cfg["phantom"] is None):
         raise ValueError("exactly one of --input or --phantom is required")
 
     # Ingest. Phantoms are degraded in-pipeline; external inputs are taken
     # as the observation itself unless --apply-degrade says otherwise.
-    truth = None
     if cfg["phantom"] is not None:
         ph = _parse_phantom(cfg["phantom"])
         clean, truth, source = ph.image, ph.truth, ph.descriptor
-        in_pipeline = True
     else:
-        clean = imageio.load_image(cfg["input"])
-        source = cfg["input"]
-        in_pipeline = bool(cfg["apply_degrade"])
+        clean, truth, source = imageio.load_image(cfg["input"]), None, cfg["input"]
+    in_pipeline = cfg["phantom"] is not None or bool(cfg["apply_degrade"])
     if cfg["truth"] is not None:
         truth = imageio.load_labels(cfg["truth"])
         if truth.min() < 1:
@@ -223,11 +221,12 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
                              f"got {truth.min()}")
         if truth.shape != clean.shape:
             raise ValueError(f"truth shape {truth.shape} does not match image {clean.shape}")
+
+    # Check every flag, then the pixels of the image and its observation.
     if cfg["phases"] < 2:
         raise ValueError(f"--phases must be at least 2, got {cfg['phases']}")
     if truth is not None and cfg["phases"] > truth.max():
         raise ValueError(f"--phases {cfg['phases']} exceeds the truth's {truth.max()} phases")
-
     A, kernel = _parse_degrade(cfg["degrade"], clean.shape)
     params = restore.SolverParams(
         lam=cfg["lam"], gamma=cfg["gamma"], mu1=cfg["mu1"], mu2=cfg["mu2"],
@@ -238,65 +237,50 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {cfg[dest]}")
     weight.smoothing_radius(cfg["weight_sigma"], "--weight-sigma")
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # The trace is written after the solve; a path it cannot be written to
-    # fails now.
+    # The trace is written last, into an existing directory or the out-dir.
     if cfg["trace"] is not None:
-        trace = Path(cfg["trace"])
-        if not trace.parent.is_dir():
-            raise ValueError(f"--trace directory {trace.parent} does not exist")
-        if trace.is_dir():
+        trace, out = Path(cfg["trace"]), out_dir.resolve()
+        if trace.is_dir() or out.is_relative_to(trace.resolve()):
             raise ValueError(f"--trace {trace} is a directory")
+        if not (trace.parent.is_dir() or out.is_relative_to(trace.parent.resolve())):
+            raise ValueError(f"--trace directory {trace.parent} does not exist")
     t0 = time.perf_counter()
     if in_pipeline:
         grid.check_pixels("clean image", clean, source)
         f = add_gaussian_noise(apply_blur(A, clean), cfg["noise_var"], cfg["seed"])
-        imageio.save_raw_float(clean, out_dir / "clean.rf64")
     else:
         f = clean
+    grid.check_pixels("observed image f", f, source)
     t_degrade = time.perf_counter() - t0
 
-    grid.check_pixels("observed image f", f, source)
     omega = weight.edge_weight(f, cfg["weight_sigma"], cfg["weight_varsigma"])
-
     t0 = time.perf_counter()
     restored, report = restore.run(f, A, params, omega)
-    t_restore = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    stretched, km, labeling = cluster.segment(restored, cfg["phases"])
+    recon = cluster.piecewise_constant(labeling)
+    t2 = time.perf_counter()
+    sa_value = None if truth is None else metrics.sa(labeling.labels, truth)
+
+    # Write. The raw formats are authoritative; PGMs are for viewing.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if in_pipeline:
+        imageio.save_raw_float(clean, out_dir / "clean.rf64")
+    for name, image in (("degraded", f), ("restored", restored), ("recon", recon)):
+        imageio.save_raw_float(image, out_dir / f"{name}.rf64")
+        imageio.save_pgm(image, out_dir / f"{name}.pgm")
+    imageio.save_raw_float(stretched, out_dir / "stretched.rf64")
+    imageio.save_labels(labeling.labels, out_dir / "labels.ri32")
+    imageio.save_pgm((labeling.labels - 1) / max(labeling.k - 1, 1), out_dir / "labels.pgm")
+    if truth is not None:
+        imageio.save_labels(truth, out_dir / "truth.ri32")
+    if kernel is not None:
+        save_kernel(kernel, out_dir / "kernel.txt")
     if cfg["trace"] is not None:
         rows = zip(report.res_q, report.res_v, report.res_z, report.objective)
         Path(cfg["trace"]).write_text("".join(
             f"{k}\t{rq:.12e}\t{rv:.12e}\t{rz:.12e}\t{energy:.12e}\n"
             for k, (rq, rv, rz, energy) in enumerate(rows, start=1)))
-
-    if restored.min() == restored.max():
-        raise ValueError(f"the restoration is constant ({_fmt(float(restored[0, 0]))}); "
-                         f"there are no {cfg['phases']} phases to separate")
-    t0 = time.perf_counter()
-    stretched = cluster.stretch(restored)
-    km = cluster.kmeans_1d(stretched.ravel(), cfg["phases"])
-    labeling = cluster.label(stretched, km.centers)
-    recon = cluster.piecewise_constant(labeling)
-    t_cluster = time.perf_counter() - t0
-
-    sa_value = None
-    if truth is not None:
-        sa_value = metrics.sa(labeling.labels, truth)
-
-    # Artifacts. The raw formats are authoritative; PGMs are for viewing.
-    imageio.save_raw_float(f, out_dir / "degraded.rf64")
-    imageio.save_pgm(f, out_dir / "degraded.pgm")
-    imageio.save_raw_float(restored, out_dir / "restored.rf64")
-    imageio.save_pgm(restored, out_dir / "restored.pgm")
-    imageio.save_raw_float(stretched, out_dir / "stretched.rf64")
-    imageio.save_labels(labeling.labels, out_dir / "labels.ri32")
-    k = labeling.k
-    imageio.save_pgm((labeling.labels - 1) / max(k - 1, 1), out_dir / "labels.pgm")
-    imageio.save_raw_float(recon, out_dir / "recon.rf64")
-    imageio.save_pgm(recon, out_dir / "recon.pgm")
-    if truth is not None:
-        imageio.save_labels(truth, out_dir / "truth.ri32")
-    if kernel is not None:
-        save_kernel(kernel, out_dir / "kernel.txt")
 
     lines = [f"source: {source}",
              f"degradation-mode: {'in-pipeline' if in_pipeline else 'pre-applied'}"]
@@ -308,13 +292,9 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     lines += [
         f"iterations: {report.iterations}",
         f"termination: {report.termination}",
-        f"final-res-q: {_fmt(float(report.res_q[-1]))}",
-        f"final-res-v: {_fmt(float(report.res_v[-1]))}",
-        f"final-res-z: {_fmt(float(report.res_z[-1]))}",
-        f"final-res-dual: {_fmt(float(report.res_dual[-1]))}",
-        f"final-mu1: {_fmt(float(report.mu[-1, 0]))}",
-        f"final-mu2: {_fmt(float(report.mu[-1, 1]))}",
-        f"final-mu3: {_fmt(float(report.mu[-1, 2]))}",
+        *(f"final-res-{name}: {_fmt(float(getattr(report, 'res_' + name)[-1]))}"
+          for name in ("q", "v", "z", "dual")),
+        *(f"final-mu{i}: {_fmt(float(mu))}" for i, mu in enumerate(report.mu[-1], start=1)),
         f"centers: {_fmt_seq(km.centers)}",
         f"wcss: {_fmt(km.wcss)}",
         f"thresholds: {_fmt_seq(labeling.thresholds)}",
@@ -327,8 +307,8 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
     stdout.write(f"iterations: {report.iterations} ({report.termination})\n")
     if sa_value is not None:
         stdout.write(f"sa: {_fmt(sa_value)}\n")
-    stdout.write(f"timings (s): degrade={t_degrade:.3f} restore={t_restore:.3f} "
-                 f"cluster={t_cluster:.3f}\n")
+    stdout.write(f"timings (s): degrade={t_degrade:.3f} restore={t1 - t0:.3f} "
+                 f"cluster={t2 - t1:.3f}\n")
     return 0
 
 

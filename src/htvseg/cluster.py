@@ -46,10 +46,12 @@ class PhaseLabeling:
 def stretch(g: np.ndarray) -> np.ndarray:
     """Affine map of g onto [0,1]; a constant image maps to all zeros."""
     g = np.asarray(g, dtype=float)
-    lo, hi = finite_range("image to stretch", g)
-    if hi == lo:
-        return np.zeros_like(g)
-    return (g - lo) / (hi - lo)
+    return _stretch(g, *finite_range("image to stretch", g))
+
+
+def _stretch(g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """:func:`stretch` of g, whose range [lo, hi] the caller has formed."""
+    return np.zeros_like(g) if hi == lo else (g - lo) / (hi - lo)
 
 
 # A divide-and-conquer level with at most this many intervals solves each
@@ -245,3 +247,18 @@ def label(g_stretched: np.ndarray, centers: np.ndarray) -> PhaseLabeling:
 def piecewise_constant(labeling: PhaseLabeling) -> np.ndarray:
     """Image with each pixel replaced by its phase's mean intensity."""
     return labeling.phase_means[labeling.labels - 1]
+
+
+def segment(restored: np.ndarray, k: int) -> tuple[np.ndarray, KMeansResult, PhaseLabeling]:
+    """Stage 2 as (stretched, KMeansResult, PhaseLabeling): :func:`stretch`,
+    :func:`kmeans_1d` into k groups, :func:`label`. The range the stretch
+    reads is reduced once; a constant restoration has no k phases to
+    separate and raises ValueError naming its value."""
+    restored = np.asarray(restored, dtype=float)
+    lo, hi = finite_range("restoration", restored)
+    if hi == lo:
+        raise ValueError(f"the restoration is constant ({lo:.12g}); "
+                         f"there are no {k} phases to separate")
+    stretched = _stretch(restored, lo, hi)
+    km = kmeans_1d(stretched.ravel(), k)
+    return stretched, km, label(stretched, km.centers)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from htvseg import cli, imageio, metrics, phantom, restore, weight
+from htvseg import cli, cluster, imageio, metrics, phantom, restore, weight
 
 
 def base_cfg(**overrides):
@@ -271,15 +271,29 @@ def test_pipeline_trace_file(tmp_path):
     (["--weight-sigma", "1e12"],
      "--weight-sigma 1e+12 needs 6000000000001 smoothing taps, more than 1048576"),
     (["--trace", "."], "--trace . is a directory"),
+    (["--trace", "made"], "--trace made is a directory"),
+    (["--trace", "made/there/trace.tsv"], "--trace directory made/there does not exist"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):
+    """Every flag is checked before the out-dir is made, so a rejected call
+    leaves no directory, not even the out-dir's parent."""
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "5",
-                   "--out-dir", "out", *flags])
+                   "--out-dir", "made/here", *flags])
     assert rc == 1
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "clean.rf64").exists()
+    assert not (tmp_path / "made").exists()
+
+
+def test_main_writes_a_trace_into_the_out_dir_it_makes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "6",
+                   "--out-dir", "new", "--trace", "new/trace.tsv"])
+    assert rc == 0
+    report = (tmp_path / "new" / "report.txt").read_text()
+    lines = (tmp_path / "new" / "trace.tsv").read_text().splitlines()
+    assert f"iterations: {len(lines)}\n" in report
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -298,7 +312,7 @@ def test_main_rejects_non_finite_blur_width(tmp_path, monkeypatch, capsys,
                    "--out-dir", "out", *flags])
     assert rc == 1
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "clean.rf64").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -321,9 +335,10 @@ def test_main_rejects_non_finite_input(tmp_path, capsys):
     path = tmp_path / "f.rf64"
     imageio.save_raw_float(image, path)
     rc = cli.main(["--input", str(path), "--max-iter", "3",
-                   "--out-dir", str(tmp_path / "out")])
+                   "--out-dir", str(tmp_path / "made" / "here")])
     assert rc == 1
     assert "f has 1 non-finite entry" in capsys.readouterr().err
+    assert not (tmp_path / "made").exists()
 
 
 @pytest.mark.parametrize("value,flags,name", [
@@ -351,18 +366,55 @@ def test_main_rejects_huge_pixel_before_the_weight(tmp_path, capsys, value,
     err = capsys.readouterr().err
     assert f"{name}, from {path}" in err
     assert "above 1e+100" in err and "omega" not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_main_reduces_the_restoration_range_once(tmp_path, monkeypatch):
+    """The CLI takes the restoration's range once, in cluster.segment, for
+    both the constant check and the stretch; it reduces the array itself
+    neither through the methods nor through numpy's functions."""
+    direct, ranged = [], []
+
+    class Watched(np.ndarray):
+        def min(self, *args, **kwargs):
+            direct.append("min")
+            return super().min(*args, **kwargs)
+
+        def max(self, *args, **kwargs):
+            direct.append("max")
+            return super().max(*args, **kwargs)
+
+    run, finite_range = restore.run, cluster.finite_range
+    restorations = []
+
+    def watched_run(*args):
+        restored, report = run(*args)
+        restorations.append(restored)
+        return restored.view(Watched), report
+
+    def watched_range(name, a, source=None):
+        if np.shares_memory(a, restorations[0]):
+            ranged.append(name)
+        return finite_range(name, a, source)
+
+    monkeypatch.setattr(restore, "run", watched_run)
+    monkeypatch.setattr(cluster, "finite_range", watched_range)
+    assert cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "5",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert (len(ranged), direct) == (1, [])
 
 
 def test_main_names_a_constant_restoration(tmp_path, capsys):
     """A penalty so large that the restoration is flat leaves nothing to
-    cluster; the error says so instead of k-means' count of values."""
+    cluster; the error says so instead of k-means' count of values, and
+    no artifact is written."""
     rc = cli.main(["--phantom", "two,disk,24,24,0.2,0.8", "--mu2", "1e300",
                    "--max-iter", "5", "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "the restoration is constant (0.416666666667)" in err
     assert "no 2 phases to separate" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_reports_same_run_twice_identically(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Contrast stretch, 1-D k-means against an exhaustive partition oracle,
-and threshold labeling."""
+threshold labeling, and the Stage-2 call that runs the three."""
 
 import itertools
 import warnings
@@ -246,6 +246,47 @@ def test_piecewise_constant_reconstruction():
     recon = cluster.piecewise_constant(lab)
     assert np.array_equal(recon, lab.phase_means[lab.labels - 1])
     assert recon.shape == g.shape
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_segment_gives_the_bits_of_stretch_kmeans_label(k):
+    rng = np.random.default_rng([7, k])
+    field = rng.choice([0.2, 0.45, 0.7, 0.9][:k], size=(40, 48))
+    field += rng.normal(0.0, 0.05, field.shape)
+    stretched, km, labeling = cluster.segment(field, k)
+    expect = cluster.stretch(field)
+    expect_km = cluster.kmeans_1d(expect.ravel(), k)
+    expect_labeling = cluster.label(expect, expect_km.centers)
+    assert stretched.tobytes() == expect.tobytes()
+    assert km.centers.tobytes() == expect_km.centers.tobytes()
+    assert km.wcss == expect_km.wcss
+    assert labeling.labels.tobytes() == expect_labeling.labels.tobytes()
+    assert labeling.thresholds.tobytes() == expect_labeling.thresholds.tobytes()
+    assert labeling.phase_means.tobytes() == expect_labeling.phase_means.tobytes()
+
+
+def test_segment_names_a_constant_restoration():
+    with pytest.raises(ValueError, match=r"^the restoration is constant \(0\.416666666667\); "
+                                         r"there are no 3 phases to separate$"):
+        cluster.segment(np.full((6, 5), 5.0 / 12.0), 3)
+
+
+def test_segment_reduces_the_restoration_once(monkeypatch):
+    """One range reduction of the restoration serves both the stretch and
+    the constant check; k-means and labeling read only the stretched
+    field."""
+    field = np.random.default_rng(4).uniform(0.1, 0.9, (16, 16))
+    seen = []
+
+    def spy(name, a, source=None):
+        seen.append(a)
+        return finite_range(name, a, source)
+
+    finite_range = cluster.finite_range
+    monkeypatch.setattr(cluster, "finite_range", spy)
+    cluster.segment(field, 2)
+    assert sum(a is field for a in seen) == 1
+    assert not any(np.shares_memory(a, field) for a in seen if a is not field)
 
 
 def first_layer(values):
