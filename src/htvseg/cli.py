@@ -74,8 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
                "three,M,N,c0,c1,c2[,r_out,r_in]. "
                "Degrade specs: none | gaussian,S,SIGMA | motion,LEN,THETA. "
                "Config file: one 'key value' (or 'key = value') pair per "
-               "line, keys named like the flags, '#' at a line's start or "
-               "after whitespace starting a comment; flags win.")
+               "line, keys named like the flags, split after the key at "
+               "whitespace or '=', so a value may hold '='; '#' at a "
+               "line's start or after whitespace starts a comment; flags "
+               "win.")
     p.add_argument("--config", help="flat key-value config file")
     for key, dest, typ, _default in _OPTIONS:
         if typ is bool:
@@ -87,8 +89,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # A config comment starts with '#' at a line's start or after whitespace,
-# so that a value such as the path runs/scan#3 keeps its '#'.
+# so that a value such as the path runs/scan#3 keeps its '#'. A line splits
+# after its key, at whitespace or an '=' with optional whitespace around
+# it, so that a value such as the path runs/lam=0.1 keeps its '='.
 _COMMENT = re.compile(r"(?:^|\s)#")
+_PAIR = re.compile(r"([^\s=]+)\s*=?\s*(.*)")
+
+# The files every call writes into the out-dir; clean.rf64 joins them for a
+# phantom or --apply-degrade, truth.ri32 with a truth, kernel.txt with a blur.
+_ARTIFACTS = ("degraded.rf64", "degraded.pgm", "restored.rf64", "restored.pgm",
+              "recon.rf64", "recon.pgm", "stretched.rf64", "labels.ri32",
+              "labels.pgm", "report.txt")
 
 
 def _read_config(path: str) -> dict:
@@ -98,10 +109,10 @@ def _read_config(path: str) -> dict:
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
-        parts = line.replace("=", " ", 1).split(None, 1)
-        if len(parts) != 2:
+        pair = _PAIR.fullmatch(line)
+        if pair is None or not pair[2]:
             raise ValueError(f"{path}:{lineno}: expected 'key value', got {raw!r}")
-        key, value = parts[0], parts[1].strip()
+        key, value = pair.groups()
         if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         dest, typ = keys[key]
@@ -237,11 +248,20 @@ def run_pipeline(cfg: dict, stdout=None) -> int:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {cfg[dest]}")
     weight.smoothing_radius(cfg["weight_sigma"], "--weight-sigma")
     out_dir = Path(cfg["out_dir"])
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out-dir {out_dir}: {existing} is not a directory")
     # The trace is written last, into an existing directory or the out-dir.
     if cfg["trace"] is not None:
         trace, out = Path(cfg["trace"]), out_dir.resolve()
         if trace.is_dir() or out.is_relative_to(trace.resolve()):
             raise ValueError(f"--trace {trace} is a directory")
+        optional = {"clean.rf64": in_pipeline, "truth.ri32": truth is not None,
+                    "kernel.txt": kernel is not None}
+        written = [*_ARTIFACTS, *(name for name, made in optional.items() if made)]
+        if trace.resolve() in [out / name for name in written]:
+            raise ValueError(f"--trace {trace} names an artifact this call "
+                             f"writes into --out-dir {out_dir}")
         if not (trace.parent.is_dir() or out.is_relative_to(trace.parent.resolve())):
             raise ValueError(f"--trace directory {trace.parent} does not exist")
     t0 = time.perf_counter()

@@ -254,8 +254,7 @@ def div2(p: np.ndarray, overwrite_p: bool = False) -> np.ndarray:
     return out
 
 
-def pixel_magnitude(p: np.ndarray, scratch: np.ndarray | None = None
-                    ) -> np.ndarray:
+def pixel_magnitude(p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Per-pixel Euclidean magnitude of a vector field: (m, n) array. On a
     Sym3Field it is sqrt(xx^2 + 2 xy^2 + yy^2), the magnitude of the
     expanded Vec4Field.
@@ -263,12 +262,10 @@ def pixel_magnitude(p: np.ndarray, scratch: np.ndarray | None = None
     The squares are summed channel by channel, which needs no temporary of
     the vector field's size and is several times faster than a reduction
     over the short channel axis. Each channel's square after the first is
-    formed in ``scratch``, an (m, n) float plane, allocated here when not
-    given; a caller that passes one may reuse it afterwards.
+    formed in ``scratch``, the caller's (m, n) float plane, which the
+    caller may reuse afterwards; the magnitude is a new plane.
     """
     acc = np.square(p[..., 0])
-    if scratch is None:
-        scratch = np.empty(acc.shape)
     for channel in range(1, p.shape[-1]):
         square = np.square(p[..., channel], out=scratch)
         if channel == XY and _symmetric(p):

@@ -44,8 +44,9 @@ callers that step the iteration themselves. ``run`` tables the blocks q,
 v, z with their K (grad2, grad, the identity), update call, scaled dual,
 auxiliary, K^T (div2, div, the identity), signed penalty (+mu1, -mu2,
 +mu3) and term of the objective. It builds that table and the g-solve's
-symbol, everything that depends on the penalties, at the start and again
-only when a penalty changes. The shrinks form their per-pixel thresholds
+symbol, everything that depends on the penalties, at one site: the top of
+an iteration whose penalties they were not built for, which is iteration 1
+and the one after each balancing that changed a penalty. The shrinks form their per-pixel thresholds
 (lam/mu1)(1 - w) and (gamma/mu2) w inside their scale's plane, so no
 threshold outlives its update. Its g-solve is ``solve_g``, but
 for iteration 1, which assembles its right side from the zero q, b, v, c
@@ -64,8 +65,9 @@ very same grid stencils used in the spatial domain, so the solve is exact
 to rounding, not merely to an analytic symbol's transcription: the symbol
 of div grad is the outer sum of the second difference's symbols along x
 and y, and that of div2 grad2 its square, since div2 grad2 = (div grad)^2
-for these periodic stencils. ``run`` keeps only the two 1-D symbols;
-:func:`g_denominator` forms the 2-D ones for the moment it needs them.
+for these periodic stencils. :func:`g_denominator` forms the two 1-D
+symbols from the grid's shape, and the 2-D ones from them for the moment
+it needs them.
 Fields are real, so the solve uses the ``rfft2``/``irfft2`` pair and the
 symbol's half-spectrum.
 """
@@ -215,21 +217,17 @@ def _laplacian_symbols(shape) -> tuple[np.ndarray, np.ndarray]:
             _second_difference_symbol(n, np.fft.rfft))
 
 
-def g_denominator(A: LinearOperatorA, params: SolverParams,
-                  laplacians: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> np.ndarray:
+def g_denominator(A: LinearOperatorA, params: SolverParams) -> np.ndarray:
     """Composite symbol D = |Ahat|^2 + mu1*F(div2 grad2) - mu2*F(div grad)
     (+ mu3 in constrained mode) on the half-spectrum that ``np.fft.rfft2``
     returns, shape (m, n//2 + 1). Every term is the symbol of a self-adjoint
     operator, so D is real and symmetric and the half determines the rest.
     Bounded below by mu3 (by 0 off the zero frequency in unconstrained
     mode): div2 grad2 is positive semidefinite and div grad negative
-    semidefinite. ``laplacians`` is :func:`_laplacian_symbols`' 1-D pair,
-    which does not depend on mu; it is built here when not given. Its
-    outer sum L2 is a half-spectrum plane of this call only, and L1 = L2^2
-    is formed in D's own buffer."""
-    L2x, L2y = _laplacian_symbols(A.shape) if laplacians is None else laplacians
-    L2 = np.add.outer(L2x, L2y)
+    semidefinite. The 1-D symbols of :func:`_laplacian_symbols` are formed
+    here from A's grid; their outer sum L2 is a half-spectrum plane of this
+    call only, and L1 = L2^2 is formed in D's own buffer."""
+    L2 = np.add.outer(*_laplacian_symbols(A.shape))
     # D accumulates in one buffer, in the order of the sum above, and each
     # term is scaled in its own buffer, so its bits are those of the sum of
     # new arrays.
@@ -552,9 +550,11 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     balancing iteration: right after its dual update each block forms its
     relative primal residual |K g - a| / max(|K g|, |a|) and its relative
     dual residual |K^T da| / |K^T y|, and the iteration hands them to
-    :func:`balance_penalties`. The block table, with its signed penalties,
-    and the g-solve's symbol are built at the start;
-    the table is rebuilt when a penalty changes, and the symbol with it.
+    :func:`balance_penalties`, whose result ``run`` iterates with from
+    then on. The block table, with its signed penalties, and the g-solve's
+    symbol are built together at the top of every iteration whose params
+    they were not built for: iteration 1, and the one after each balancing
+    iteration that changed a penalty.
     params.mu1..3 are the starting penalties. The objective is evaluated on
     balancing iterations and on iteration max_iter, its terms summed in
     :func:`objective`'s order, so bit for bit its value; only a run that
@@ -574,16 +574,15 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     state (g, z, d one each, v and c two, q and b three, as symmetric
     (xx, xy, yy) fields) and the run's constants (the g-solve's symbol, a
     half-spectrum of about half a plane; A* f with blur, one, while for the
-    identity it is f itself; the two 1-D Laplacian symbols are negligible),
+    identity it is f itself),
     plus the transients of the step in hand: at most six, in the q block
     (grad2 g's three, a bracket plane, the shrink's magnitude and scale, in
     which its threshold is formed), and four in the g-solve (q - b's three
     and div2's result, its stencils working in the planes of q - b). By
     tracemalloc a run peaks at 19.5 planes at 512^2 for the identity and
     20.5 under blur, in a bracketed iteration's q block. The state, the
-    block table and the symbols are freed before that call to
-    :func:`objective`. A* f and the 1-D symbols of the second difference
-    are computed once per run. An image without pixels, and NaN or
+    block table and the g-solve's symbol are freed before that call to
+    :func:`objective`. A* f is computed once per run. An image without pixels, and NaN or
     infinite pixels in f or omega or pixels above ``grid.MAX_PIXEL`` in
     magnitude, raise ValueError up front, naming the input.
     """
@@ -603,22 +602,24 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
 
     state = init_state(f, params)
     start = params
-    laplacians = _laplacian_symbols(A.shape)
     # Nothing writes to A* f, so for the identity it is f itself.
     adjoint_f = f if A.transfer is None else apply_adjoint(A, f)
     tolerance = params.epsilon * np.sqrt(f.size)
 
-    denom = g_denominator(A, params, laplacians)
-    blocks = _block_table(state, params, omega)
     rows = []   # (res_q, res_v, res_z, res_dual, mu1, mu2, mu3, energy)
     termination = "max_iter"
     primal_passed = False
     check_at = 1    # the iteration off the balancing schedule that evaluates s
+    built_for = None    # the params that denom and blocks were built for
 
     for k in range(1, params.max_iter + 1):
         balancing = k % BALANCE_EVERY == 0 and k < params.max_iter
         evaluate = balancing or k == params.max_iter
         bracketed = balancing or k == check_at
+        if params is not built_for:
+            denom = g_denominator(A, params)
+            blocks = _block_table(state, params, omega)
+            built_for = params
         if k == 1:      # q, b, v, c and d are still init_state's zeros
             state.g = _spectral_solve(
                 _right_side(state, params, adjoint_f, start=True), denom)
@@ -676,17 +677,13 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
 
         stop = primal_pass and row[3] <= tolerance
         if balancing and not stop:
-            balanced = balance_penalties(state, params, start, *zip(*pairs))
-            if balanced is not params:
-                params = balanced
-                denom = g_denominator(A, params, laplacians)
-                blocks = _block_table(state, params, omega)
+            params = balance_penalties(state, params, start, *zip(*pairs))
         if stop:
             termination = "tolerance"
             break
 
     restored = state.z if params.constrained else g
-    del state, blocks, denom, laplacians
+    del state, blocks, denom
     record = np.array(rows)
     if np.isnan(record[-1, 7]):
         record[-1, 7] = objective(g, f, A, params, omega)

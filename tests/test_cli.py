@@ -11,6 +11,11 @@ import pytest
 from htvseg import cli, cluster, imageio, metrics, phantom, restore, weight
 
 
+def unreachable_run(*args, **kwargs):
+    """Stands in for ``restore.run`` where a call must fail before the solve."""
+    raise AssertionError("restore.run reached")
+
+
 def base_cfg(**overrides):
     cfg = {dest: default for _key, dest, _typ, default in cli._OPTIONS}
     cfg.update(overrides)
@@ -35,6 +40,12 @@ def test_read_config_forms(tmp_path):
     assert cfg == {"lam": 0.25, "gamma": 2.5, "max_iter": 40,
                    "unconstrained": True, "out_dir": "runs/scan#3",
                    "trace": "runs/trace#1.tsv"}
+    # A line splits after its key, so a value keeps every '=' it holds.
+    for line, out_dir in (("out-dir runs/lam=0.1", "runs/lam=0.1"),
+                          ("out-dir = runs/lam=0.1", "runs/lam=0.1"),
+                          ("out-dir=runs/x", "runs/x")):
+        path.write_text(line + "\n")
+        assert cli._read_config(str(path)) == {"out_dir": out_dir}
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
@@ -46,9 +57,10 @@ def test_read_config_rejects_unknown_key(tmp_path):
 
 def test_read_config_rejects_malformed_line(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("lambda\n")
-    with pytest.raises(ValueError):
-        cli._read_config(str(path))
+    for line in ("lambda", "lambda =", "= 0.1"):
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="expected 'key value'"):
+            cli._read_config(str(path))
 
 
 def test_read_config_rejects_bad_bool(tmp_path):
@@ -273,17 +285,58 @@ def test_pipeline_trace_file(tmp_path):
     (["--trace", "."], "--trace . is a directory"),
     (["--trace", "made"], "--trace made is a directory"),
     (["--trace", "made/there/trace.tsv"], "--trace directory made/there does not exist"),
+    (["--trace", "made/here/labels.ri32"],
+     "--trace made/here/labels.ri32 names an artifact this call writes into "
+     "--out-dir made/here"),
+    (["--trace", "made/./here/report.txt"],
+     "--trace made/here/report.txt names an artifact this call writes into "
+     "--out-dir made/here"),
 ])
 def test_main_rejects_bad_flags_before_any_artifact(tmp_path, monkeypatch,
                                                     capsys, flags, message):
-    """Every flag is checked before the out-dir is made, so a rejected call
-    leaves no directory, not even the out-dir's parent."""
+    """Every flag is checked before the solve and before the out-dir is
+    made, so a rejected call leaves no directory, not even the out-dir's
+    parent."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(restore, "run", unreachable_run)
     rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "5",
                    "--out-dir", "made/here", *flags])
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "made").exists()
+
+
+def test_main_rejects_a_trace_onto_each_artifact(tmp_path, monkeypatch,
+                                                 capsys):
+    """A --trace naming any file a call writes into the out-dir is rejected
+    before the solve, and the file of an earlier call keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    flags = ["--phantom", "two,disk,16,16,0.2,0.8", "--degrade", "gaussian,3,1",
+             "--max-iter", "5", "--out-dir", "out"]
+    assert cli.main(flags) == 0
+    artifacts = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    assert len(artifacts) == len(cli._ARTIFACTS) + 3
+    monkeypatch.setattr(restore, "run", unreachable_run)
+    for path in artifacts:
+        assert cli.main([*flags, "--trace", f"out/{path.name}"]) == 1
+        assert (f"--trace out/{path.name} names an artifact this call writes "
+                "into --out-dir out") in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in artifacts} == artifacts
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_main_rejects_an_out_dir_at_or_under_a_file(tmp_path, monkeypatch,
+                                                    capsys, out_dir):
+    """An --out-dir that is a file, or lies under one, fails before the
+    solve, naming the flag, and leaves the file's bytes alone."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(restore, "run", unreachable_run)
+    (tmp_path / "afile").write_bytes(b"kept\n")
+    rc = cli.main(["--phantom", "two,disk,16,16,0.2,0.8", "--max-iter", "5",
+                   "--out-dir", out_dir])
+    assert rc == 1
+    assert f"--out-dir {out_dir}: afile is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_bytes() == b"kept\n"
 
 
 def test_main_writes_a_trace_into_the_out_dir_it_makes(tmp_path, monkeypatch):
