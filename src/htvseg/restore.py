@@ -304,12 +304,16 @@ def _shrink(h: np.ndarray, omega: np.ndarray, second_order: bool,
             coefficient: float) -> np.ndarray:
     """Isotropic vector soft-thresholding with the per-pixel threshold
     c w_p, c being lam/mu1 or gamma/mu2 and w_p = 1 - w for q or w for v:
-    h <- max(1 - c w_p/|h|, 0) h. Overwrites h and returns it. The scale
+    h <- max(1 - c w_p/|h|, 0) h. Overwrites h and returns it. c = 0
+    returns h untouched, since a zero threshold is the identity. The scale
     is formed in the plane of the channel squares of |h|, w_p with it (w
     is read as given). c w_p >= 0, and where |h| = 0 the quotient is inf
     or NaN, whose scale max(-inf or NaN, 0) is 0, so |h| = 0 gives 0, not
-    NaN. So does a subnormal h, whose squares underflow to |h| = 0, and a
-    quotient that overflows to inf."""
+    NaN. So does a quotient that overflows to inf, and a subnormal h,
+    whose squares underflow to |h| = 0: where w_p = 0 under c > 0 such an
+    h is zeroed although its threshold is 0."""
+    if coefficient == 0:
+        return h
     scale = np.empty(h.shape[:-1])
     mag = grid.pixel_magnitude(h, scale)
     weight = np.subtract(1.0, omega, out=scale) if second_order else omega

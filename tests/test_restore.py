@@ -209,7 +209,9 @@ def test_shrink_edge_cases(second_order):
     whose squares underflow to |h| = 0, under a positive threshold, and a
     quotient that overflows. No NaN comes out and no warning is raised
     (the suite turns warnings into errors); |h| = 0 gives 0, and a zero
-    threshold keeps every other pixel to the bit."""
+    threshold keeps every other pixel to the bit. A zero coefficient
+    returns h as it is, subnormal pixels and signed zeros included; w_p = 0
+    under a positive one zeroes a subnormal pixel."""
     h = np.zeros((2, 3, 2))
     h[0, 1] = (3.0, 4.0)
     h[0, 2] = (5e-324, 0.0)
@@ -220,7 +222,9 @@ def test_shrink_edge_cases(second_order):
     for coefficient in (2.0, 0.0):
         got = restore._shrink(h.copy(), omega, second_order, coefficient)
         assert not np.isnan(got).any()
-        assert np.all(got[0, 0] == 0.0) and np.all(got[0, 2] == 0.0)
+        assert np.all(got[0, 0] == 0.0)
+        kept = h[0, 2] if coefficient == 0.0 else np.zeros(2)
+        assert np.array_equal(got[0, 2], kept)
         threshold = coefficient * w_p
         for i, j in ((0, 1), (1, 0), (1, 2)):
             if threshold[i, j] == 0.0:
@@ -238,6 +242,11 @@ def test_shrink_edge_cases(second_order):
     # c w_p / |h| = 1e300 / 1.4e-150 overflows: the pixel shrinks to 0
     got = restore._shrink(h.copy(), np.full((2, 3), 0.5), second_order, 1e300)
     assert np.all(got == 0.0)
+    # a zero coefficient is the identity to the bit, also where the channel
+    # squares underflow to |h| = 0: (1e-300, -1e-300) is not (0, -0)
+    tiny = np.array([[[1e-300, -1e-300], [-0.0, 0.0], [5e-324, -0.0]]])
+    got = restore._shrink(tiny.copy(), np.full((1, 3), 0.5), second_order, 0.0)
+    assert got.tobytes() == tiny.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

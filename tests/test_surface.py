@@ -1,7 +1,9 @@
 """Surface guard: every public function and class of an ``htvseg`` module
-is read somewhere in the package or in the acceptance gate. A name that
-only its own tests reach is surface to delete, not to keep. Also how the
-public classes compare and how size arguments are checked."""
+is read somewhere in the package or in the acceptance gate, and the top
+level re-exports exactly the names its callers import from it. A name that
+only its own tests, or only the re-export, reach is surface to delete, not
+to keep. Also how the public classes compare and how size arguments are
+checked."""
 
 import ast
 import copy
@@ -16,9 +18,15 @@ import pytest
 
 import htvseg
 from htvseg import cluster, degrade, phantom, restore
+from test_readme import PYTHON_BLOCK, README
 
-SOURCES = [*Path(htvseg.__file__).parent.glob("*.py"),
-           Path(__file__).with_name("test_acceptance.py")]
+PACKAGE = Path(htvseg.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+# The re-exports in __init__.py are not reads: a name only they reach is
+# unread.
+SOURCES = [*(path for path in PACKAGE.glob("*.py")
+             if path.name != "__init__.py"), ACCEPTANCE]
+SUBMODULES = {info.name for info in pkgutil.iter_modules(htvseg.__path__)}
 
 
 def _referenced_names() -> set[str]:
@@ -39,21 +47,49 @@ def _public_surface() -> list[str]:
     """'module.name' of each public function and class an htvseg module
     defines."""
     surface = []
-    for info in pkgutil.iter_modules(htvseg.__path__):
-        module = importlib.import_module(f"htvseg.{info.name}")
+    for short in SUBMODULES:
+        module = importlib.import_module(f"htvseg.{short}")
         for name, obj in vars(module).items():
             if (not name.startswith("_")
                     and (inspect.isfunction(obj) or inspect.isclass(obj))
                     and obj.__module__ == module.__name__):
-                surface.append(f"{info.name}.{name}")
+                surface.append(f"{short}.{name}")
     return sorted(surface)
 
 
 def test_every_public_name_has_a_reader():
     read = _referenced_names()
     unread = [q for q in _public_surface() if q.split(".", 1)[1] not in read]
-    assert unread == [], (f"read by neither htvseg nor the acceptance gate: "
-                          f"{', '.join(unread)}")
+    assert unread == [], ("read by neither htvseg's modules nor the "
+                          f"acceptance gate: {', '.join(unread)}")
+
+
+def _top_level_imports() -> set[str]:
+    """Every name other than a submodule that the README's library example,
+    the benchmark's modules and the acceptance gate import with ``from
+    htvseg import ...``."""
+    perfbench = README.parent / "perfbench"
+    texts = [*PYTHON_BLOCK.findall(README.read_text()),
+             *(path.read_text() for path in perfbench.glob("*.py")),
+             ACCEPTANCE.read_text()]
+    names = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ImportFrom) and node.module == "htvseg"
+                    and node.level == 0):
+                names.update(alias.name for alias in node.names)
+    return names - SUBMODULES
+
+
+def test_top_level_exports_exactly_what_callers_import():
+    exported, imported = set(htvseg.__all__), _top_level_imports()
+    assert exported == imported, (
+        f"re-exported but imported by no caller: {sorted(exported - imported)}; "
+        f"imported but not re-exported: {sorted(imported - exported)}")
+    unlisted = [name for name, value in vars(htvseg).items()
+                if not name.startswith("_") and name not in htvseg.__all__
+                and not (inspect.ismodule(value) and name in SUBMODULES)]
+    assert unlisted == [], f"bound in htvseg but not in __all__: {unlisted}"
 
 
 def _array_dataclasses() -> dict:
