@@ -181,16 +181,17 @@ def kmeans_1d(values: np.ndarray, k: int, restarts: int | None = None,
     finite_range("values to cluster", values)
     xs = np.sort(values)
     n = xs.size
-    distinct = min(n, 1 + int(np.count_nonzero(xs[1:] != xs[:-1])))
+    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     if distinct < k:
         raise ValueError(f"need at least {k} distinct values, got {distinct}")
 
     # Prefix sums s1 of the scaled centered values and s2 of their squares,
-    # each formed in place behind its leading 0.
+    # each formed in place behind its leading 0. Subtracting the mean keeps
+    # the order under rounding, so the extremes are the ends of the sort.
     s1, s2, e = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     s1[0] = s2[0] = 0.0
     centered = np.subtract(xs, xs.mean(), out=s1[1:])
-    top = max(-float(centered.min()), float(centered.max()))
+    top = max(-float(centered[0]), float(centered[-1]))
     np.ldexp(centered, -np.frexp(top)[1], out=centered)
     np.cumsum(np.square(centered, out=s2[1:]), out=s2[1:])
     np.cumsum(centered, out=centered)

@@ -46,19 +46,17 @@ auxiliary, K^T (div2, div, the identity), signed penalty (+mu1, -mu2,
 +mu3) and term of the objective. It builds that table and the g-solve's
 symbol, everything that depends on the penalties, at one site: the top of
 an iteration whose penalties they were not built for, which is iteration 1
-and the one after each balancing that changed a penalty. The shrinks form their per-pixel thresholds
-(lam/mu1)(1 - w) and (gamma/mu2) w inside their scale's plane, so no
-threshold outlives its update. Its g-solve is ``solve_g``, but
-for iteration 1, which assembles its right side from the zero q, b, v, c
-and d that ``init_state`` makes, with no stencil, and hands it to
-``solve_g``'s spectral solve. After each g-solve one loop over the table
-updates the blocks alike (see ``run``). Each update overwrites its own
-variable of the state in place, since the old value is dead by the time it
-runs, and returns it. ``run`` does no I/O: each iteration's blocks write
-their residuals and terms of the objective into its record row as they
-form them, and ``run`` returns the rows as a ``ConvergenceReport``. It
-forms the dual residual and the objective only on the iterations that
-read them.
+and the one after each balancing that changed a penalty. The shrinks form
+their per-pixel thresholds (lam/mu1)(1 - w) and (gamma/mu2) w inside their
+scale's plane, so no threshold outlives its update. Every iteration, the
+first too, solves for g by ``solve_g``, and after each g-solve one loop
+over the table updates the blocks alike (see ``run``). Each update
+overwrites its own variable of the state in place, since the old value is
+dead by the time it runs, and returns it. ``run`` does no I/O: each
+iteration's blocks write their residuals and terms of the objective into
+its record row as they form them, and ``run`` returns the rows as a
+``ConvergenceReport``. It forms the dual residual and the objective only
+on the iterations that read them.
 
 The frequency-domain denominator is built from 1-D delta responses of the
 very same grid stencils used in the spatial domain, so the solve is exact
@@ -265,27 +263,18 @@ def solve_g(state: SolverState, params: SolverParams, A: LinearOperatorA,
 
 
 def _right_side(state: SolverState, params: SolverParams,
-                adjoint_f: np.ndarray, start: bool = False) -> np.ndarray:
+                adjoint_f: np.ndarray) -> np.ndarray:
     """The g-subproblem's right side A*f + mu1*div2(q - b) + mu2*div(c - v)
     (+ mu3*(z - d)). It accumulates in place, term by term in that order:
     each term is scaled in its own buffer, and adding it into the sum
     leaves the sum's bits as a new array would. q - b and c - v are
-    temporaries of this call, so div2 and div work in their planes.
-
-    ``start`` says that q, b, v, c and d are 0, as ``init_state`` makes
-    them: the div2 and div terms are then +0 planes, and the sum they
-    start is A*f + 0, the same bits (a negative zero of A*f becomes +0)
-    without the stencils."""
-    term = None
-    if start:
-        rhs = np.add(adjoint_f, 0.0)
-    else:
-        rhs = grid.div2(state.q - state.b, overwrite_p=True)
-        rhs *= params.mu1
-        rhs += adjoint_f
-        term = grid.div(state.c - state.v, overwrite_p=True)
-        term *= params.mu2
-        rhs += term
+    temporaries of this call, so div2 and div work in their planes."""
+    rhs = grid.div2(state.q - state.b, overwrite_p=True)
+    rhs *= params.mu1
+    rhs += adjoint_f
+    term = grid.div(state.c - state.v, overwrite_p=True)
+    term *= params.mu2
+    rhs += term
     if params.constrained:
         term = np.subtract(state.z, state.d, out=term)
         term *= params.mu3
@@ -478,7 +467,6 @@ class _Block(NamedTuple):
     mu: float                   # the signed penalty K^T da enters s with
     energy: Callable | None     # its weighted term of the objective (lam or gamma
                                 # times sum(w_p |K g|)), from K g
-    zero_start: bool            # a is 0 before iteration 1, and so is K^T a
 
 
 def _identity(g: np.ndarray) -> np.ndarray:
@@ -495,15 +483,14 @@ def _block_table(state: SolverState, params: SolverParams,
                      partial(update_q, state, params, omega),
                      state.b, state.q, grid.div2, params.mu1,
                      partial(_tv_term, omega=omega, second_order=True,
-                             coefficient=params.lam), True),
+                             coefficient=params.lam)),
               _Block(grid.grad, partial(update_v, state, params, omega),
                      state.c, state.v, grid.div, -params.mu2,
                      partial(_tv_term, omega=omega, second_order=False,
-                             coefficient=params.gamma), True)]
+                             coefficient=params.gamma))]
     if params.constrained:
         blocks.append(_Block(_identity, lambda _: update_z(state, params),
-                             state.d, state.z, _identity, params.mu3, None,
-                             False))
+                             state.d, state.z, _identity, params.mu3, None))
     return blocks
 
 
@@ -536,19 +523,16 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     K g before the next block forms its own. An unconstrained run has no z
     block, so its res_z stays NaN.
 
-    s is evaluated only on balancing iterations, on iteration 1, and on the
-    iteration after the first one whose primal residuals pass, unless that
-    one evaluated s itself; only those iterations can stop the run. Such an
-    iteration brackets each update with K^T of its variable (div2 q, div v,
-    a copy of z, which its update overwrites), a plane rather than a copy
-    of q or v, forms each change K^T da in the plane of the bracket's first
-    side, adds it times the signed penalty the iteration ran with into s in
-    place, and writes |s| after the last block.
-
-    Iteration 1 starts from init_state, whose q, b, v, c and d are 0: its
-    right side is A*f (+ mu3 z0) with no div2 or div, and its bracket takes
-    div2 q and div v after their updates as their changes, with no K^T of
-    the zero q0 and v0. Both are the bits the general steps would give.
+    s is evaluated only on balancing iterations and on the iteration after
+    the first one whose primal residuals pass, unless that one evaluated s
+    itself; only those iterations can stop the run, so a start that already
+    passes stops at iteration 2. Such an iteration brackets each update
+    with K^T of its variable (div2 q, div v, a copy of z, which its update
+    overwrites), a plane rather than a copy of q or v, forms each change
+    K^T da in the plane of the bracket's first side, adds it times the
+    signed penalty the iteration ran with into s in place, and writes |s|
+    after the last block. Iteration 1 is an ordinary iteration: it solves
+    for g by ``solve_g`` from init_state's zero q, b, v, c and d.
 
     Every BALANCE_EVERY-th iteration but the last allowed one is a
     balancing iteration: right after its dual update each block forms its
@@ -613,7 +597,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
     rows = []   # (res_q, res_v, res_z, res_dual, mu1, mu2, mu3, energy)
     termination = "max_iter"
     primal_passed = False
-    check_at = 1    # the iteration off the balancing schedule that evaluates s
+    check_at = None     # the iteration off the balancing schedule that evaluates s
     built_for = None    # the params that denom and blocks were built for
 
     for k in range(1, params.max_iter + 1):
@@ -624,22 +608,16 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             denom = g_denominator(A, params)
             blocks = _block_table(state, params, omega)
             built_for = params
-        if k == 1:      # q, b, v, c and d are still init_state's zeros
-            state.g = _spectral_solve(
-                _right_side(state, params, adjoint_f, start=True), denom)
-        else:
-            state.g = solve_g(state, params, A, f, denom, adjoint_f)
-        g = state.g
+        g = state.g = solve_g(state, params, A, f, denom, adjoint_f)
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite iterate at iteration {k}; "
                                      "check parameters")
         row = [np.nan] * 4 + [params.mu1, params.mu2, params.mu3,
                               _data_term(g, f, A) if evaluate else np.nan]
         pairs, s = [], None     # blocks' relative (primal, dual) residuals; s
-        for column, (K, update, dual, auxiliary, adjoint, mu, energy,
-                     zero_start) in enumerate(blocks):
-            before = None
-            if bracketed and not (k == 1 and zero_start):
+        for column, (K, update, dual, auxiliary, adjoint, mu,
+                     energy) in enumerate(blocks):
+            if bracketed:
                 before = adjoint(auxiliary)
                 if before is auxiliary:     # z, which its update overwrites
                     before = before.copy()
@@ -658,9 +636,7 @@ def run(f: np.ndarray, A: LinearOperatorA, params: SolverParams,
             dual += residual
             del kg, residual
             if bracketed:
-                change = adjoint(auxiliary)
-                if before is not None:
-                    change = np.subtract(change, before, out=before)
+                change = np.subtract(adjoint(auxiliary), before, out=before)
                 step = grid.norm_l2(change)
                 if balancing:
                     pairs.append((_relative(row[column], size),

@@ -314,16 +314,48 @@ def test_update_duals_first_step_and_telescoping():
     assert np.allclose(state.d, tele_d, atol=1e-14)
 
 
-def test_run_constant_image_stops_at_one_iteration():
+def test_run_constant_image_stops_by_tolerance_at_iteration_2():
     """Constant f in [0,1] with lam=gamma=0: every coupling starts consistent,
-    so the first iterate is exact and the solver stops immediately."""
+    so the first iterate is exact and its primal residuals pass. Iteration 1
+    does not evaluate the dual residual; the check on the iteration after
+    the first primal pass stops the run at iteration 2."""
     f = np.full((8, 8), 0.6)
     A = LinearOperatorA.identity(f.shape)
     params = SolverParams(lam=0.0, gamma=0.0)
     g, report = restore.run(f, A, params, np.ones(f.shape))
-    assert report.iterations == 1
+    assert report.iterations == 2
     assert report.termination == "tolerance"
+    assert np.isnan(report.res_dual[0])
+    assert report.res_dual[1] <= params.epsilon * np.sqrt(f.size)
     assert np.max(np.abs(g - f)) < 1e-12
+
+
+@pytest.mark.parametrize("blur", ["none", "gaussian,5,5"])
+@pytest.mark.parametrize("constrained", [True, False])
+def test_run_solves_every_g_through_solve_g(monkeypatch, blur, constrained):
+    """Iteration 1 is an ordinary iteration: run calls solve_g once per
+    iteration, the first too, whether it stops by tolerance or at
+    max_iter."""
+    solve, calls = restore.solve_g, []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(restore, "solve_g", counting)
+    shape = (12, 16)
+    rng = np.random.default_rng(29)
+    f = rng.uniform(0.0, 1.0, size=shape) + rng.normal(0.0, 0.3, size=shape)
+    A = (LinearOperatorA.identity(shape) if blur == "none" else
+         LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
+    omega = rng.uniform(0.1, 1.0, size=shape)
+    for epsilon, termination in ((1e-300, "max_iter"), (1e-2, "tolerance")):
+        calls.clear()
+        params = SolverParams(lam=0.1, gamma=0.8, epsilon=epsilon,
+                              max_iter=40, constrained=constrained)
+        _, report = restore.run(f, A, params, omega)
+        assert report.termination == termination
+        assert len(calls) == report.iterations
 
 
 def test_run_stop_does_not_depend_on_image_size():
@@ -348,10 +380,9 @@ def test_run_inactive_box_stops_by_tolerance():
     exactly 0 through iteration BALANCE_EVERY, and after it z tracks the
     relaxed point RELAXATION g + (1 - RELAXATION) z_old, so |g - z| is
     positive and takes part in the stop. The dual residual is evaluated on
-    iteration 1, on balancing iterations and on the iteration after the
-    first one whose primal residuals pass (here not itself an evaluated
-    one), and the run stops at the first evaluated iteration where both
-    pass."""
+    balancing iterations and on the iteration after the first one whose
+    primal residuals pass (here not itself an evaluated one), and the run
+    stops at the first evaluated iteration where both pass."""
     rng = np.random.default_rng(4)
     i, j = np.ogrid[:32, :32]
     f = 0.5 + 0.2 * np.sin(i / 5.0) * np.cos(j / 7.0) + rng.normal(0, 0.02, (32, 32))
@@ -369,7 +400,7 @@ def test_run_inactive_box_stops_by_tolerance():
     first_pass = k[primal][0]
     assert first_pass > 1 and first_pass % restore.BALANCE_EVERY
     assert np.array_equal(~np.isnan(report.res_dual),
-                          (k == 1) | (k % restore.BALANCE_EVERY == 0) | (k == first_pass + 1))
+                          (k % restore.BALANCE_EVERY == 0) | (k == first_pass + 1))
     both = primal & (report.res_dual <= tolerance)
     assert both[-1] and not both[:-1].any()
 
@@ -388,7 +419,7 @@ def test_run_first_primal_pass_on_balancing_iteration_adds_no_check():
     assert first_pass % restore.BALANCE_EVERY == 0
     assert report.iterations > first_pass + 1
     assert np.array_equal(~np.isnan(report.res_dual),
-                          (k == 1) | (k % restore.BALANCE_EVERY == 0))
+                          k % restore.BALANCE_EVERY == 0)
 
 
 def test_solve_g_consistent_couplings_reproduce_f():
@@ -503,8 +534,8 @@ def reference_loop(f, A, params, omega):
     BALANCE_EVERY-th iteration but the last, the relative residuals
     are formed here from full copies of q, v, z and handed to
     ``balance_penalties``. For runs whose primal residuals never pass: the
-    dual residual is evaluated on iteration 1 and on balancing iterations,
-    in the difference form from the copies and in the stationarity form of
+    dual residual is evaluated on balancing iterations, in the difference
+    form from the copies and in the stationarity form of
     the g-solve (see ``test_dual_residual_matches_difference_form``), with
     and without its relaxation term, and the energy on balancing
     iterations and the last one."""
@@ -535,7 +566,7 @@ def reference_loop(f, A, params, omega):
         mus.append((params.mu1, params.mu2, params.mu3))
         dual_norms.append(np.nan)
         stationary.append((np.nan, np.nan))
-        if not (balancing or k == 1):
+        if not balancing:
             continue
         blocks = [(grid.grad2(state.g, 3), state.q, grid.div2(state.q - previous[0]),
                    grid.div2(state.b)),
@@ -674,9 +705,8 @@ def test_run_energy_is_the_objective_of_its_iterate(monkeypatch, blur,
 @pytest.mark.parametrize("signed_zeros", [False, True])
 def test_run_first_g_matches_solve_g_from_init_state(monkeypatch, blur,
                                                      constrained, signed_zeros):
-    """Iteration 1 solves from the known zero state without the stencils of
-    q - b and c - v, and its g is bit for bit the g that solve_g makes from
-    init_state, also for an f of negative zeros, whose g is exactly 0
+    """Iteration 1 solves from init_state's zero q, b, v, c and d: its g is
+    bit for bit the g that solve_g makes from init_state, also for an f of negative zeros, whose g is exactly 0
     (``tobytes`` compares the sign of each zero too)."""
     shape = (12, 16)
     rng = np.random.default_rng(28)
@@ -743,14 +773,14 @@ def test_dual_residual_matches_difference_form(blur):
     A = (LinearOperatorA.identity(shape) if blur == "none" else
          LinearOperatorA.convolution(gaussian_kernel(5, 5.0), shape))
     omega = rng.uniform(0.1, 1.0, size=shape)
-    # s is evaluated on iterations 1, 5 and 10; 5 rebalances and 10 is
+    # s is evaluated on iterations 5 and 10; 5 rebalances and 10 is
     # over-relaxed
     params = SolverParams(lam=0.1, gamma=0.8, epsilon=1e-300, max_iter=11)
     _, report = restore.run(f, A, params, omega)
     *_, forms = reference_loop(f, A, params, omega)
     stationary, without_relaxation = forms.T
     assert np.array_equal(np.isnan(report.res_dual), np.isnan(stationary))
-    assert np.count_nonzero(~np.isnan(stationary)) == 3
+    assert np.count_nonzero(~np.isnan(stationary)) == 2
     assert not np.array_equal(report.mu[4], report.mu[5])
     assert np.allclose(report.res_dual, stationary, rtol=1e-10, atol=0.0,
                        equal_nan=True)
@@ -825,7 +855,7 @@ def test_run_working_set_stays_within_21_planes():
     half-spectrum symbol, A* f under blur; the Laplacian symbols are 1-D)
     and the transients of one step, since each block's K g is freed before
     the next block forms its own. A 128^2 three-phase phantom under
-    gaussian,5,5 blur, bracketed on iterations 1, 5 and 10 and relaxed from
+    gaussian,5,5 blur, bracketed on iterations 5 and 10 and relaxed from
     6, peaks at 20.65 planes; the differences buffer no strided slices,
     holding grad2 g and grad g together would add two planes, four-plane
     q, b and grad2 g three, and the shrink thresholds as planes two."""
@@ -841,7 +871,7 @@ def test_run_working_set_stays_within_21_planes():
     finally:
         tracemalloc.stop()
     assert report.iterations == 11
-    assert np.count_nonzero(~np.isnan(report.res_dual)) == 3
+    assert np.count_nonzero(~np.isnan(report.res_dual)) == 2
     assert peak <= 21 * f.nbytes
 
 
@@ -1056,8 +1086,9 @@ def test_run_computes_each_stencil_once_per_iteration(monkeypatch, blur, transfo
     # Iterations 3 and 4 are plain; iterations 5 and 6 hold one balancing
     # iteration, which adds div2 and div of q and v before and after their
     # updates and of the duals b and c, and, with blur, the transform pair
-    # of A g in the energy. Every count runs iteration 1, which evaluates s,
-    # and the energy of the final iterate.
+    # of A g in the energy. Every count evaluates the energy of the final
+    # iterate, and no iteration of the two- and four-iteration counts
+    # evaluates s.
     few, many, balanced = count(2), count(4), count(6)
     per_it = {name: (many[name] - few[name]) / 2 for name in calls}
     assert per_it == {"grad2": 1, "grad": 1, "div2": 1, "div": 1, "fft2": 0,
